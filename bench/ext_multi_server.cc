@@ -7,11 +7,10 @@
 //
 // A second section benchmarks the sharded event loop itself: a
 // num_servers x shard-threads sweep of wall-clock against the frozen
-// pre-shard simulator (tests/testing/reference_simulator.h), with the
-// loop's own ShardTiming accounting (fault-timeline pregeneration vs
-// barrier stalls) broken out per cell. shard_threads must never change
-// results, so every sharded cell is fingerprint-checked against the
-// reference run before its time is reported.
+// pre-shard simulator (tests/testing/reference_simulator.h).
+// shard_threads must never change results, so every sharded cell is
+// fingerprint-checked against the reference run before its time is
+// reported.
 
 #include <algorithm>
 #include <chrono>
@@ -113,8 +112,7 @@ SimOptions ShardOptions(size_t servers, size_t shard_threads,
   options.num_servers = servers;
   options.shard_threads = shard_threads;
   options.timing = timing;
-  // Fault-dense and UNcorrelated, so the buffered fault-timeline path
-  // (and its background pregeneration) engages at shard_threads > 1.
+  // Fault-dense, so every shard carries outage and abort events.
   FaultPlanConfig fault;
   fault.outage_rate = 0.02;
   fault.mean_outage_duration = 5.0;
@@ -171,17 +169,14 @@ void RunShardSweep(std::vector<bench::BenchRow>& rows, Table& table) {
 
     std::vector<double> table_row = {ref_ms};
     double t1_ms = 0.0;
-    ShardTiming t8_timing;
     for (const size_t threads : thread_counts) {
-      ShardTiming timing;
       auto sim = Simulator::Create(
-          txns, ShardOptions(servers, threads, &timing));
+          txns, ShardOptions(servers, threads, nullptr));
       WEBTX_CHECK(sim.ok()) << sim.status().ToString();
       AsetsStarPolicy policy;
-      ShardTiming best_timing;
       RunFingerprint fp;
       const double ms =
-          BestRunMs(sim.ValueOrDie(), policy, &timing, &best_timing, &fp);
+          BestRunMs(sim.ValueOrDie(), policy, nullptr, nullptr, &fp);
       WEBTX_CHECK(fp == ref_fp)
           << "sharded run diverged from the reference at servers=" << servers
           << " shard_threads=" << threads;
@@ -190,15 +185,8 @@ void RunShardSweep(std::vector<bench::BenchRow>& rows, Table& table) {
       rows.push_back({"ext_multi_server", cfg, "wall_ms", ms, "ms"});
       rows.push_back({"ext_multi_server", cfg, "speedup_vs_reference",
                       ref_ms / ms, "x"});
-      rows.push_back({"ext_multi_server", cfg, "pregen_ms",
-                      best_timing.pregen_ms, "ms"});
-      rows.push_back({"ext_multi_server", cfg, "barrier_wait_ms",
-                      best_timing.barrier_wait_ms, "ms"});
-      rows.push_back({"ext_multi_server", cfg, "timeline_chunks",
-                      static_cast<double>(best_timing.chunks), "chunks"});
       table_row.push_back(ms);
       if (threads == 1) t1_ms = ms;
-      if (threads == 8) t8_timing = best_timing;
     }
     const double t8_ms = table_row.back();
     if (t1_ms >= kMinSpeedupMs && t8_ms >= kMinSpeedupMs) {
@@ -210,8 +198,6 @@ void RunShardSweep(std::vector<bench::BenchRow>& rows, Table& table) {
                 << " ms floor)\n";
     }
     table_row.push_back(ref_ms / t1_ms);
-    table_row.push_back(t8_timing.pregen_ms);
-    table_row.push_back(t8_timing.barrier_wait_ms);
     table.AddNumericRow(std::to_string(servers), table_row);
   }
 }
@@ -371,12 +357,10 @@ int main() {
   std::cout << "\nSharded event loop — wall-clock vs the frozen pre-shard "
                "reference (ASETS*,\n4000 txns at 75% per-worker load, "
                "outage+abort plan, best of "
-            << webtx::kShardReps << " reps; pregen/barrier\ncolumns are "
-               "the shard-threads=8 fault-timeline accounting):\n\n";
+            << webtx::kShardReps << " reps):\n\n";
   std::vector<webtx::bench::BenchRow> rows;
   webtx::Table shard_table({"servers", "ref ms", "t=1 ms", "t=2 ms",
-                            "t=8 ms", "speedup t=1", "pregen ms",
-                            "barrier ms"});
+                            "t=8 ms", "speedup t=1"});
   webtx::RunShardSweep(rows, shard_table);
   shard_table.Print(std::cout);
   webtx::bench::SaveCsv(shard_table, "ext_multi_server_sharded");
@@ -399,12 +383,12 @@ int main() {
   webtx::bench::WriteBenchRows(rows);
   std::cout
       << "\nHost has " << std::thread::hardware_concurrency()
-      << " hardware thread(s). On a single-core host extra shard threads "
-         "cannot\nreduce wall-clock (pregeneration competes with the event "
-         "loop for the one\ncore), so the meaningful series is the sharded "
-         "loop vs the pre-shard\nreference — incremental fault heads and "
-         "epoch-stamped pick assignment do the\nwork the reference "
-         "re-scans for. Every cell above is fingerprint-checked\nagainst "
-         "the reference run: shard_threads never changes results.\n";
+      << " hardware thread(s). The event-loop sweep runs the global-state "
+         "ASETS*, which\nhands shard threads no work, so its meaningful "
+         "series is the sharded loop vs\nthe pre-shard reference — "
+         "incremental fault heads and epoch-stamped pick\nassignment do "
+         "the work the reference re-scans for. Every cell above is\n"
+         "fingerprint-checked against the reference run: shard_threads "
+         "never changes\nresults.\n";
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <utility>
 
 #include "common/check.h"
@@ -61,10 +62,23 @@ void ThreadPool::RunBatch(size_t count,
   for (size_t h = 0; h < helpers; ++h) {
     futures.push_back(Submit(drain));
   }
-  drain();
-  for (std::future<void>& f : futures) {
-    f.get();  // rethrows a helper's captured exception
+  // Helpers read `next` and `job` from this frame, so every helper must
+  // finish before it unwinds, even when a job threw. The first exception
+  // (the caller's own, else a helper's) is rethrown after that.
+  std::exception_ptr error;
+  try {
+    drain();
+  } catch (...) {
+    error = std::current_exception();
   }
+  for (std::future<void>& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::Shutdown() {

@@ -88,8 +88,6 @@ rt::TwinOptions TwinOptionsFor(const TwinChaosCase& c) {
   options.snapshot_corruption = c.snapshot_corruption;
   options.forecast_threads = c.forecast_threads;
   options.pooled_forecasts = c.pooled_forecasts;
-  options.pending_queue = c.pending_queue;
-  options.txn_store = c.txn_store;
   options.prune = c.prune;
   options.prune_prefix = c.prune_prefix;
   options.faults.plan = c.fault;
@@ -246,12 +244,6 @@ std::string SerializeTwinChaosCase(const TwinChaosCase& c) {
   os << "snapshot_corruption " << FormatDouble(c.snapshot_corruption) << "\n";
   os << "forecast_threads " << c.forecast_threads << "\n";
   os << "pooled_forecasts " << (c.pooled_forecasts ? 1 : 0) << "\n";
-  os << "pending_queue "
-     << (c.pending_queue == PendingQueueImpl::kCalendarQueue ? "calendar"
-                                                             : "heap")
-     << "\n";
-  os << "txn_store "
-     << (c.txn_store == TxnStoreLayout::kArenaSoA ? "soa" : "vector") << "\n";
   os << "prune " << (c.prune ? 1 : 0) << "\n";
   os << "prune_prefix " << FormatDouble(c.prune_prefix) << "\n";
   os << "num_workers " << c.num_workers << "\n";
@@ -407,22 +399,6 @@ Result<TwinChaosCase> ParseTwinChaosReplay(const std::string& text) {
     } else if (key == "pooled_forecasts") {
       if (!ParseU64(value, &u) || u > 1) return bad();
       c.pooled_forecasts = u == 1;
-    } else if (key == "pending_queue") {
-      if (value == "heap") {
-        c.pending_queue = PendingQueueImpl::kBinaryHeap;
-      } else if (value == "calendar") {
-        c.pending_queue = PendingQueueImpl::kCalendarQueue;
-      } else {
-        return bad();
-      }
-    } else if (key == "txn_store") {
-      if (value == "vector") {
-        c.txn_store = TxnStoreLayout::kSpecVector;
-      } else if (value == "soa") {
-        c.txn_store = TxnStoreLayout::kArenaSoA;
-      } else {
-        return bad();
-      }
     } else if (key == "prune") {
       if (!ParseU64(value, &u) || u > 1) return bad();
       c.prune = u == 1;
@@ -685,10 +661,10 @@ TwinChaosCase RandomTwinChaosCase(uint64_t master_seed, uint64_t index) {
   const double threads_draw = rng.NextDouble();
   c.forecast_threads = threads_draw < 0.5 ? 1 : (threads_draw < 0.8 ? 2 : 8);
   c.pooled_forecasts = rng.NextDouble() < 0.8;
-  c.pending_queue = rng.NextDouble() < 0.5 ? PendingQueueImpl::kBinaryHeap
-                                           : PendingQueueImpl::kCalendarQueue;
-  c.txn_store = rng.NextDouble() < 0.5 ? TxnStoreLayout::kSpecVector
-                                       : TxnStoreLayout::kArenaSoA;
+  // Two retired structure-knob draws (pending queue, transaction
+  // store), still consumed so every seed keeps its historical cases.
+  rng.NextDouble();
+  rng.NextDouble();
   if (rng.NextDouble() < 0.25) {
     c.prune = true;
     c.prune_prefix = 0.3 + 0.5 * rng.NextDouble();

@@ -58,8 +58,6 @@ struct TwinChaosCase {
   // them and the determinism audit is the enforcement.
   size_t forecast_threads = 1;
   bool pooled_forecasts = true;
-  PendingQueueImpl pending_queue = PendingQueueImpl::kBinaryHeap;
-  TxnStoreLayout txn_store = TxnStoreLayout::kSpecVector;
   bool prune = false;
   double prune_prefix = 0.4;
 

@@ -134,7 +134,6 @@ Result<TwinForecastEngine> TwinForecastEngine::Create(
       SimOptions sim_options;
       sim_options.admission = AdmissionFor(candidate);
       sim_options.record_outcomes = false;
-      sim_options.pending_queue = options.pending_queue;
       WEBTX_ASSIGN_OR_RETURN(
           Simulator sim,
           Simulator::CreateShared(engine.full_, std::move(sim_options)));
@@ -251,8 +250,6 @@ TwinForecast TwinForecastEngine::ForecastOne(size_t index, bool full_horizon,
   sim_options.num_servers = std::max<size_t>(1, num_workers_up);
   sim_options.admission = AdmissionFor(candidate);
   sim_options.record_outcomes = false;
-  sim_options.pending_queue = options_.pending_queue;
-  sim_options.txn_store = options_.txn_store;
   sim_options.run_horizon = run_horizon;
   Result<Simulator> sim = Simulator::Create(spec_buffer_, std::move(sim_options));
   if (!sim.ok()) return f;
@@ -283,7 +280,7 @@ const std::vector<TwinForecast>& TwinForecastEngine::Forecast(
     const bool prune = options_.prune && num_candidates >= 2;
     bool built = true;
     if (pooled_) {
-      built = full_->Rebuild(spec_buffer_, options_.txn_store).ok();
+      built = full_->Rebuild(spec_buffer_).ok();
     }
     if (built) {
       survivor_.assign(num_candidates, 1);

@@ -96,10 +96,6 @@ struct TwinOptions {
   /// single immutable per-tick workload across them, instead of
   /// rebuilding specs/graph/simulator per candidate per tick.
   bool pooled_forecasts = true;
-  /// Pending-event structure for the shadow simulators.
-  PendingQueueImpl pending_queue = PendingQueueImpl::kBinaryHeap;
-  /// Transaction-attribute layout for the shadow simulators.
-  TxnStoreLayout txn_store = TxnStoreLayout::kSpecVector;
   /// Successive-halving candidate pruning: score every candidate on a
   /// simulated-time prefix of the horizon (the same shared workload
   /// under a SimOptions::run_horizon cutoff, so the prefix pass pays

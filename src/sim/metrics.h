@@ -61,22 +61,15 @@ struct ScheduleSegment {
   uint32_t attempt = 0;
 };
 
-/// Wall-clock accounting of the sharded simulator's background work,
-/// accumulated across all shards of one Run when SimOptions::timing
-/// points here (results are never affected — this is bench plumbing for
-/// bench/ext_multi_server). `pregen_ms` is time spent materializing
-/// fault-timeline chunks (on pool workers when shard_threads > 1),
-/// `barrier_wait_ms` is time the event loop stalled at a chunk barrier
-/// waiting for a prefetch to land. `policy_wait_ms` is the wall time the
-/// event loop spent inside the per-event scheduling round (policy
-/// consultation + pick assignment), so the bench can attribute the shard
-/// barrier to policy work vs. event processing; `steal_count` is the
-/// number of cross-shard entry moves a sharded-state policy performed
-/// (always 0 for global-state policies; see ShardedPolicyState).
+/// Wall-clock accounting of the sharded simulator's scheduling rounds,
+/// accumulated across Runs when SimOptions::timing points here (results
+/// are never affected — this is bench plumbing for
+/// bench/ext_multi_server). `policy_wait_ms` is the wall time the event
+/// loop spent inside the per-event scheduling round (policy consultation
+/// + pick assignment); `steal_count` is the number of cross-shard entry
+/// moves a sharded-state policy performed (always 0 for global-state
+/// policies; see ShardedPolicyState).
 struct ShardTiming {
-  double pregen_ms = 0.0;
-  double barrier_wait_ms = 0.0;
-  uint64_t chunks = 0;  // fault-timeline chunks consumed
   double policy_wait_ms = 0.0;
   uint64_t steal_count = 0;
 };

@@ -7,8 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "common/calendar_queue.h"
-
 namespace webtx {
 
 namespace {
@@ -40,121 +38,6 @@ class PendingQueue {
   std::vector<internal::PendingEvent> heap_;
 };
 
-// CalendarQueue ordering traits for pending events: Before is the
-// strict (time, kind, id) ascending order — the exact complement view
-// of the PendingAfter max-heap comparator, so both structures pop the
-// same sequence (pinned by tests/sim/shard_event_order_test.cc and the
-// huge-structures differential matrix).
-struct PendingTraits {
-  static double TimeOf(const internal::PendingEvent& e) { return e.time; }
-  static bool Before(const internal::PendingEvent& a,
-                     const internal::PendingEvent& b) {
-    return internal::PendingAfter{}(b, a);
-  }
-};
-
-// The pending queue behind SimOptions::pending_queue: the historical
-// binary heap or the calendar queue, one interface. The branch is a
-// predictable single bool — noise next to the heap/bucket work behind
-// it.
-class PendingEvents {
- public:
-  PendingEvents() = default;
-  explicit PendingEvents(PendingQueueImpl impl)
-      : calendar_(impl == PendingQueueImpl::kCalendarQueue) {}
-
-  /// Re-targets the wrapper at `impl` and empties both structures
-  /// (allocated storage retained) — the per-run warm reset. A run can
-  /// end with stale entries for transactions that resolved another way,
-  /// so clearing here is what makes cross-run reuse safe.
-  void Configure(PendingQueueImpl impl) {
-    calendar_ = impl == PendingQueueImpl::kCalendarQueue;
-    heap_.clear();
-    wheel_.clear();
-  }
-
-  void Reserve(size_t n) {
-    if (calendar_) {
-      wheel_.Reserve(n);
-    } else {
-      heap_.Reserve(n);
-    }
-  }
-  bool empty() const { return calendar_ ? wheel_.empty() : heap_.empty(); }
-  internal::PendingEvent top() {
-    return calendar_ ? wheel_.top() : heap_.top();
-  }
-  void push(const internal::PendingEvent& e) {
-    if (calendar_) {
-      wheel_.push(e);
-    } else {
-      heap_.push(e);
-    }
-  }
-  void pop() {
-    if (calendar_) {
-      wheel_.pop();
-    } else {
-      heap_.pop();
-    }
-  }
-
- private:
-  bool calendar_ = false;
-  PendingQueue heap_;
-  CalendarQueue<internal::PendingEvent, PendingTraits> wheel_;
-};
-
-// One shard's view of its fault processes: either the lazy FaultStream
-// (correlated mode, or serial runs) or the buffered FaultTimeline
-// (uncorrelated runs with shard workers) — byte-identical event sources
-// by FaultTimeline's replay construction.
-struct FaultSource {
-  FaultStream* stream = nullptr;
-  FaultTimeline* timeline = nullptr;
-
-  bool down() const { return stream ? stream->down() : timeline->down(); }
-  SimTime next_transition() const {
-    return stream ? stream->next_transition() : timeline->next_transition();
-  }
-  SimTime outage_end() const {
-    return stream ? stream->outage_end() : timeline->outage_end();
-  }
-  void AdvanceTransition() {
-    if (stream) {
-      stream->AdvanceTransition();
-    } else {
-      timeline->AdvanceTransition();
-    }
-  }
-  SimTime next_abort() const {
-    return stream ? stream->next_abort() : timeline->next_abort();
-  }
-  void AdvanceAbort() {
-    if (stream) {
-      stream->AdvanceAbort();
-    } else {
-      timeline->AdvanceAbort();
-    }
-  }
-  bool crashed() const {
-    return stream ? stream->crashed() : timeline->crashed();
-  }
-  SimTime next_crash_transition() const {
-    return stream ? stream->next_crash_transition()
-                  : timeline->next_crash_transition();
-  }
-  SimTime repair_end() const {
-    return stream ? stream->repair_end() : timeline->repair_end();
-  }
-  void AdvanceCrashTransition() {
-    if (stream) {
-      stream->AdvanceCrashTransition();
-    } else {
-      timeline->AdvanceCrashTransition();
-    }
-  }
-};
 }  // namespace
 
 /// Everything Run() used to stack-allocate per call, hoisted into a
@@ -166,7 +49,6 @@ struct FaultSource {
 struct Simulator::RunScratch {
   std::vector<TxnOutcome> outcomes;
   std::vector<FaultStream> fault_streams;
-  std::vector<FaultSource> sources;
   std::vector<SimTime> fault_time;
   std::vector<internal::ShardEventClass> fault_cls;
   std::vector<char> down;
@@ -174,7 +56,7 @@ struct Simulator::RunScratch {
   std::vector<SimTime> dispatch_time;
   std::vector<SimTime> segment_start;
   std::vector<ScheduleSegment> schedule;
-  PendingEvents pending;
+  PendingQueue pending;
   std::vector<TxnId> picks;
   std::vector<TxnId> next_running;
   std::vector<char> pick_taken;
@@ -191,7 +73,7 @@ Result<Simulator> Simulator::Create(std::vector<TransactionSpec> txns,
                                     SimOptions options) {
   WEBTX_ASSIGN_OR_RETURN(
       SimWorkload workload,
-      SimWorkload::Build(std::move(txns), options.txn_store));
+      SimWorkload::Build(std::move(txns)));
   return CreateShared(
       std::make_shared<const SimWorkload>(std::move(workload)),
       std::move(options));
@@ -240,7 +122,6 @@ void Simulator::BindWorkload(std::shared_ptr<const SimWorkload> workload) {
 
 void Simulator::ResetRuntimeState() {
   const std::vector<TransactionSpec>& specs = workload_->specs();
-  const TxnStore& store = workload_->store();
   const size_t n = specs.size();
   // The bound workload may have changed size since the last run
   // (BindWorkload): the indexed loops below need current extents. For a
@@ -254,20 +135,10 @@ void Simulator::ResetRuntimeState() {
   suspended_.assign(n, 0);
   ready_list_.clear();
   ready_pos_.assign(n, kNoReadyPos);
-  if (store.enabled()) {
-    // Dense-array pass: 3 contiguous reads per transaction instead of a
-    // full AoS cache line — the values are bit-identical copies.
-    for (size_t i = 0; i < n; ++i) {
-      true_remaining_[i] = store.length(i);
-      estimated_remaining_[i] = store.estimate_or_length(i);
-      unmet_deps_[i] = store.num_deps(i);
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      true_remaining_[i] = specs[i].length;
-      estimated_remaining_[i] = specs[i].EstimateOrLength();
-      unmet_deps_[i] = static_cast<uint32_t>(specs[i].dependencies.size());
-    }
+  for (size_t i = 0; i < n; ++i) {
+    true_remaining_[i] = specs[i].length;
+    estimated_remaining_[i] = specs[i].EstimateOrLength();
+    unmet_deps_[i] = static_cast<uint32_t>(specs[i].dependencies.size());
   }
 }
 
@@ -335,53 +206,30 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   bool horizon_cut = false;
   const bool correlated =
       options_.fault_plan.config().correlated_crash_prob > 0.0;
-  // Resolve the shard-worker count. Buffered (pregenerated) fault
-  // timelines engage only on uncorrelated faulty runs with workers to
-  // hide the generation behind: a correlated crash process is mutated
-  // mid-run by ForceCrash fan-in and must stay a lazy stream. Results
-  // are byte-identical either way.
+  // A sharded-state policy fans its per-shard round maintenance out on
+  // a worker pool (PrepareRound): one task per shard with work, so more
+  // than k workers would idle. Results are byte-identical either way.
   const size_t shard_threads = options_.shard_threads == 0
                                    ? ThreadPool::DefaultConcurrency()
                                    : options_.shard_threads;
-  const bool buffered = faults && !correlated && shard_threads > 1;
-  // A sharded-state policy can fan its per-shard round maintenance out
-  // on the same pool (PrepareRound); both uses are barriered inside one
-  // event, so sharing the workers is safe.
-  const bool policy_parallel = sharded != nullptr && shard_threads > 1 && k > 1;
   ThreadPool* pool = nullptr;
-  if (buffered || policy_parallel) {
-    // One in-flight prefetch per fault process per shard is the most
-    // the timelines can keep busy.
-    const size_t pool_size = std::min(shard_threads, 3 * k);
+  if (sharded != nullptr && shard_threads > 1 && k > 1) {
+    const size_t pool_size = std::min(shard_threads, k);
     if (!shard_pool_ || shard_pool_->size() != pool_size) {
       shard_pool_ = std::make_unique<ThreadPool>(pool_size);
     }
     pool = shard_pool_.get();
   }
 
-  // Each server shard consumes its fault processes through a FaultSource
-  // backed by either a lazy stream or a buffered timeline.
+  // Each server shard consumes its fault processes through a lazy
+  // FaultStream, rebuilt from the plan's seed every run.
   std::vector<FaultStream>& fault_streams = sc.fault_streams;
   fault_streams.clear();
-  std::vector<FaultSource>& sources = sc.sources;
-  sources.assign(k, FaultSource{});
   if (faults) {
-    if (buffered) {
-      if (timelines_.size() < k) timelines_.resize(k);
-      for (size_t s = 0; s < k; ++s) {
-        timelines_[s].Begin(options_.fault_plan.config(),
-                            static_cast<uint32_t>(s), pool);
-        sources[s].timeline = &timelines_[s];
-      }
-    } else {
-      fault_streams.reserve(k);
-      for (size_t s = 0; s < k; ++s) {
-        fault_streams.push_back(
-            options_.fault_plan.StreamFor(static_cast<uint32_t>(s)));
-      }
-      for (size_t s = 0; s < k; ++s) {
-        sources[s].stream = &fault_streams[s];
-      }
+    fault_streams.reserve(k);
+    for (size_t s = 0; s < k; ++s) {
+      fault_streams.push_back(
+          options_.fault_plan.StreamFor(static_cast<uint32_t>(s)));
     }
   }
 
@@ -395,7 +243,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   std::vector<internal::ShardEventClass>& fault_cls = sc.fault_cls;
   fault_cls.assign(k, internal::ShardEventClass::kOutage);
   const auto refresh_fault_head = [&](size_t s) {
-    const FaultSource& src = sources[s];
+    const FaultStream& src = fault_streams[s];
     SimTime t = src.next_transition();
     internal::ShardEventClass cls = internal::ShardEventClass::kOutage;
     const SimTime tc = src.next_crash_transition();
@@ -419,7 +267,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   std::vector<char>& down = sc.down;
   down.assign(k, 0);
   const auto sync_down = [&](size_t s) {
-    const char d = sources[s].down() ? 1 : 0;
+    const char d = fault_streams[s].down() ? 1 : 0;
     if (d != down[s]) {
       down[s] = d;
       if (d) {
@@ -446,38 +294,13 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   std::vector<ScheduleSegment>& schedule = sc.schedule;
   schedule.clear();
   if (options_.record_schedule) schedule.reserve(2 * n);
-  PendingEvents& pending = sc.pending;
-  pending.Configure(options_.pending_queue);
+  // A run can end with stale entries for transactions that resolved
+  // another way, so the warm-reused queue is emptied here.
+  PendingQueue& pending = sc.pending;
+  pending.clear();
   // At most one pending entry per unresolved transaction exists at any
   // instant, and only abort retries or admission deferrals create them.
   if (faults || admission) pending.Reserve(n);
-  // Static per-transaction reads, routed through the SoA store when
-  // enabled. The store mirrors the spec values bit-for-bit, so the two
-  // branches are indistinguishable in results.
-  const TxnStore* const store =
-      workload_->store().enabled() ? &workload_->store() : nullptr;
-  const auto spec_arrival = [&](TxnId id) {
-    return store ? store->arrival(id) : specs[id].arrival;
-  };
-  const auto spec_deadline = [&](TxnId id) {
-    return store ? store->deadline(id) : specs[id].deadline;
-  };
-  const auto spec_weight = [&](TxnId id) {
-    return store ? store->weight(id) : specs[id].weight;
-  };
-  const auto spec_length = [&](TxnId id) {
-    return store ? store->length(id) : specs[id].length;
-  };
-  const auto spec_estimate = [&](TxnId id) {
-    return store ? store->estimate_or_length(id)
-                 : specs[id].EstimateOrLength();
-  };
-  const auto successors_of =
-      [&](TxnId id) -> std::pair<const TxnId*, const TxnId*> {
-    if (store) return store->successors(id);
-    const std::vector<TxnId>& succ = graph.successors(id);
-    return {succ.data(), succ.data() + succ.size()};
-  };
   // Scratch buffers for the per-event scheduling round, hoisted out of
   // the loop so the steady-state iteration performs no allocation.
   std::vector<TxnId>& picks = sc.picks;
@@ -589,10 +412,9 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       o.finish = t;
       o.missed_deadline = true;  // never finishing misses the deadline
       if (arrived_[cur]) policy.OnDropped(cur, t);
-      const auto [succ_it, succ_end] = successors_of(cur);
-      for (const TxnId* it = succ_it; it != succ_end; ++it) {
-        if (!finished_[*it]) {
-          stack.emplace_back(*it, TxnFate::kDroppedDependency);
+      for (const TxnId succ : graph.successors(cur)) {
+        if (!finished_[succ]) {
+          stack.emplace_back(succ, TxnFate::kDroppedDependency);
         }
       }
     }
@@ -638,8 +460,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       suspended_[victim] = 1;
       ReadyListRemove(victim);
       policy.OnCompletion(victim, t);  // dequeue signal
-      true_remaining_[victim] = spec_length(victim);
-      estimated_remaining_[victim] = spec_estimate(victim);
+      true_remaining_[victim] = specs[victim].length;
+      estimated_remaining_[victim] = specs[victim].EstimateOrLength();
       suspended_[victim] = 0;
       MakeReady(victim, t, policy);
     }
@@ -648,7 +470,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
 
   while (resolved_count < n) {
     const SimTime t_arrival =
-        next_arrival < n ? spec_arrival(arrival_order[next_arrival]) : kNever;
+        next_arrival < n ? specs[arrival_order[next_arrival]].arrival : kNever;
     const SimTime t_pending = pending.empty() ? kNever : pending.top().time;
 
     // Head scan: the next step is the EventBefore-least head over all
@@ -723,15 +545,13 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
         TxnOutcome& o = outcomes[done];
         o.fate = TxnFate::kCompleted;
         o.finish = now;
-        o.tardiness = TardinessOf(now, spec_deadline(done));
-        o.weighted_tardiness = o.tardiness * spec_weight(done);
-        o.response = now - spec_arrival(done);
+        o.tardiness = TardinessOf(now, specs[done].deadline);
+        o.weighted_tardiness = o.tardiness * specs[done].weight;
+        o.response = now - specs[done].arrival;
         o.missed_deadline = o.tardiness > 0.0;
 
         policy.OnCompletion(done, now);
-        const auto [succ_it, succ_end] = successors_of(done);
-        for (const TxnId* it = succ_it; it != succ_end; ++it) {
-          const TxnId succ = *it;
+        for (const TxnId succ : graph.successors(done)) {
           WEBTX_DCHECK(unmet_deps_[succ] > 0);
           if (--unmet_deps_[succ] == 0 && arrived_[succ] &&
               !finished_[succ]) {
@@ -742,7 +562,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       }
       case internal::ShardEventClass::kOutage: {
         const size_t os = best.shard;
-        FaultSource& src = sources[os];
+        FaultStream& src = fault_streams[os];
         if (!src.down()) {
           // Outage begins: preempt the victim (work retained — it stays
           // ready and may be re-placed on another server immediately).
@@ -765,7 +585,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       }
       case internal::ShardEventClass::kCrash: {
         const size_t cs = best.shard;
-        FaultSource& src = sources[cs];
+        FaultStream& src = fault_streams[cs];
         if (!src.crashed()) {
           // Natural crash instant: fell the shard for its pre-drawn
           // repair window, then route this instant's handoffs through
@@ -791,7 +611,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
             for (size_t s = 0; s < k; ++s) {
               if (s == cs) continue;
               SimTime repair_duration = 0.0;
-              if (!src.stream->DrawCorrelatedVictim(&repair_duration)) {
+              if (!src.DrawCorrelatedVictim(&repair_duration)) {
                 continue;
               }
               mailbox.push_back(internal::ShardMessage{
@@ -811,8 +631,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
                   msg.victim, msg.time, msg.time + msg.repair_duration});
               total_repair_time += msg.repair_duration;
               migrate(msg.victim, msg.time);
-              sources[msg.victim].stream->ForceCrash(msg.time,
-                                                     msg.repair_duration);
+              fault_streams[msg.victim].ForceCrash(msg.time,
+                                                   msg.repair_duration);
               refresh_fault_head(msg.victim);
               sync_down(msg.victim);
             }
@@ -828,9 +648,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       }
       case internal::ShardEventClass::kAbort: {
         const size_t aborting_server = best.shard;
-        sources[aborting_server].AdvanceAbort();  // always consume: the
-                                                  // timeline stays
-                                                  // policy-independent
+        // Always consume: the timeline stays policy-independent.
+        fault_streams[aborting_server].AdvanceAbort();
         refresh_fault_head(aborting_server);
         const TxnId victim = running[aborting_server];
         if (victim == kInvalidTxn) break;  // idle/down server: no-op
@@ -845,8 +664,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
         ReadyListRemove(victim);
         policy.OnCompletion(victim, now);  // dequeue signal
         // All executed work is lost.
-        true_remaining_[victim] = spec_length(victim);
-        estimated_remaining_[victim] = spec_estimate(victim);
+        true_remaining_[victim] = specs[victim].length;
+        estimated_remaining_[victim] = specs[victim].EstimateOrLength();
         if (o.aborts >= options_.retry.max_attempts) {
           resolve(victim, TxnFate::kDroppedRetries, now);  // clears suspended_
           break;
@@ -888,7 +707,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       }
       case internal::ShardEventClass::kArrival: {
         while (next_arrival < n &&
-               spec_arrival(arrival_order[next_arrival]) == now) {
+               specs[arrival_order[next_arrival]].arrival == now) {
           const TxnId id = arrival_order[next_arrival++];
           if (finished_[id]) continue;  // dropped before it arrived
           admit_arrival(id, now);
@@ -1047,14 +866,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
     }
   }
 
-  // Settle the buffered timelines before returning: no worker may
-  // outlive the run that owns its buffers. This also flushes the run's
-  // wall-clock accounting into options_.timing when set.
-  if (buffered) {
-    for (size_t s = 0; s < k; ++s) {
-      timelines_[s].Finish(options_.timing);
-    }
-  }
   if (options_.timing != nullptr) {
     options_.timing->policy_wait_ms += policy_wait_ms;
     if (sharded != nullptr) {

@@ -12,10 +12,8 @@
 #include "sched/scheduler_policy.h"
 #include "sched/sim_view.h"
 #include "sim/fault_plan.h"
-#include "sim/fault_timeline.h"
 #include "sim/metrics.h"
 #include "sim/sim_workload.h"
-#include "sim/txn_store.h"
 #include "txn/dependency_graph.h"
 #include "txn/transaction.h"
 #include "txn/workflow.h"
@@ -110,23 +108,6 @@ constexpr bool MessageBefore(const ShardMessage& a, const ShardMessage& b) {
 
 }  // namespace internal
 
-/// Backing structure for the simulator's pending-event queue (retry
-/// releases and deferred arrivals). Both pop in exactly the
-/// internal::PendingAfter (time, kind, id) order, so the knob can never
-/// change results — only how fast a huge backlog drains. Pinned by
-/// tests/sim/huge_structures_differential_test.cc and the calendar-queue
-/// property tests.
-enum class PendingQueueImpl : uint8_t {
-  /// Binary heap over a reserved vector (the historical structure).
-  kBinaryHeap = 0,
-  /// Calendar/ladder queue (common/calendar_queue.h): amortized O(1)
-  /// push/pop, cache-friendly at 10^5+ pending events.
-  kCalendarQueue = 1,
-};
-
-// TxnStoreLayout lives in sim/sim_workload.h (the workload owns the
-// mirror); re-exported here for the SimOptions knob below.
-
 /// Simulator knobs. The defaults model the paper's testbed: a single
 /// back-end database server, preemption at scheduling points (transaction
 /// arrival and completion, Sec. III-A2), zero dispatch overhead, no
@@ -157,31 +138,21 @@ struct SimOptions {
   /// scheduling policy learns of the transaction; null admits everything.
   /// A fresh controller is constructed per Run.
   AdmissionFactory admission;
-  /// Worker threads for per-shard background work: double-buffered
-  /// fault-timeline pregeneration (sim/fault_timeline.h) and, for
-  /// sharded-state policies (ShardedPolicyState), the fanned-out
-  /// per-shard round maintenance in PrepareRound. 1 = fully serial, 0 =
-  /// hardware concurrency. Pregeneration engages only when the fault
-  /// plan is enabled and uncorrelated (a correlated crash process is
-  /// mutated mid-run and cannot be pregenerated); the policy fan-out
-  /// engages only for multi-server runs of a sharded-state policy. MUST
-  /// NOT affect results: every run is byte-identical across
+  /// Worker threads for the fanned-out per-shard round maintenance of
+  /// sharded-state policies (ShardedPolicyState::PrepareRound). 1 = fully
+  /// serial, 0 = hardware concurrency. Engages only for multi-server runs
+  /// of a sharded-state policy; every other run is serial whatever the
+  /// value. MUST NOT affect results: every run is byte-identical across
   /// shard_threads values — pinned by
   /// tests/sim/sharded_differential_test.cc against the frozen pre-shard
   /// simulator in tests/testing/reference_simulator.h.
   size_t shard_threads = 1;
   /// Optional wall-clock accounting sink for the sharded loop's
-  /// background work (accumulated across shards and runs; bench plumbing,
-  /// never affects results). The pointee must outlive every Run; leave
+  /// scheduling rounds (accumulated across runs; bench plumbing, never
+  /// affects results). The pointee must outlive every Run; leave
   /// null in parallel sweeps — RunInstances nulls it in its per-worker
   /// option copies.
   ShardTiming* timing = nullptr;
-  /// Pending-event queue structure; results are byte-identical across
-  /// values (huge-scale perf knob, see scripts/check.sh --huge-smoke).
-  PendingQueueImpl pending_queue = PendingQueueImpl::kBinaryHeap;
-  /// Per-transaction static data layout; results are byte-identical
-  /// across values (huge-scale perf knob).
-  TxnStoreLayout txn_store = TxnStoreLayout::kSpecVector;
   /// Simulated-time cutoff (0 = run to completion, the default). When
   /// > 0, Run stops before processing the first event past this instant
   /// and aggregates via RunResult::FromPrefixOutcomes: transactions
@@ -289,8 +260,7 @@ class Simulator final : public SimView {
  public:
   /// Validates the workload (dense ids, acyclic dependencies, positive
   /// lengths, non-negative arrivals) and builds the precedence structures.
-  /// Convenience over CreateShared: builds a private SimWorkload with the
-  /// layout `options.txn_store` requests.
+  /// Convenience over CreateShared: builds a private SimWorkload.
   static Result<Simulator> Create(std::vector<TransactionSpec> txns,
                                   SimOptions options = {});
 
@@ -298,8 +268,7 @@ class Simulator final : public SimView {
   /// workload, without copying any of it. Several simulators may share
   /// one workload — concurrent Runs only read it — which is how the
   /// digital twin fans candidate forecasts out over one per-tick spec
-  /// build. The workload's own store layout governs; options.txn_store
-  /// is ignored on this path.
+  /// build.
   static Result<Simulator> CreateShared(
       std::shared_ptr<const SimWorkload> workload, SimOptions options = {});
 
@@ -395,15 +364,12 @@ class Simulator final : public SimView {
   std::vector<size_t> ready_pos_;  // TxnId -> index in ready_list_
   size_t num_up_ = 1;  // servers outside outage/crash windows (this run)
 
-  // Sharded event-loop state: per-shard buffered fault timelines and the
-  // pool that prefetches their chunks (lazily built on the first Run
-  // that wants one, reused across runs). Engaged only when shard_threads
-  // resolves to > 1 on an uncorrelated faulty run; both are inert
-  // otherwise and never influence results.
-  std::vector<FaultTimeline> timelines_;
+  // Worker pool for sharded-state policies' PrepareRound fan-out, built
+  // lazily on the first Run that wants one and reused across runs. Never
+  // influences results.
   std::unique_ptr<ThreadPool> shard_pool_;
 
-  /// Per-run scratch (outcomes, fault sources, pending queue, the
+  /// Per-run scratch (outcomes, fault streams, pending queue, the
   /// scheduling round's pick/assignment buffers), lazily built on the
   /// first Run and warm-reused after — the steady-state event loop
   /// allocates nothing. Defined in simulator.cc.

@@ -82,14 +82,23 @@ TEST(VirtualClockTest, SleepersWakeInTimestampOrder) {
   VirtualClock clock;
   std::atomic<double> early_wake{-1.0};
   std::atomic<double> late_wake{-1.0};
-  std::thread early([&] {
+  // Both threads register before either sleeps: a sole participant's
+  // sleep advances the clock at once, so a late thread that slept alone
+  // first would jump the clock past the early thread's due.
+  std::atomic<int> registered{0};
+  const auto register_both = [&] {
     clock.RegisterParticipant();
+    registered.fetch_add(1);
+    while (registered.load() < 2) std::this_thread::yield();
+  };
+  std::thread early([&] {
+    register_both();
     clock.SleepUntil(1.0, nullptr);
     early_wake.store(clock.Now());
     clock.DeregisterParticipant();
   });
   std::thread late([&] {
-    clock.RegisterParticipant();
+    register_both();
     clock.SleepUntil(2.0, nullptr);
     late_wake.store(clock.Now());
     clock.DeregisterParticipant();

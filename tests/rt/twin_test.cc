@@ -230,27 +230,6 @@ TEST(TwinForecastEngineTest, PooledMatchesRebuiltByteForByte) {
       << "flash crowd should exercise the controller";
 }
 
-TEST(TwinForecastEngineTest, StructureKnobsAreByteIdentical) {
-  // Regression for wiring SimOptions::pending_queue / txn_store through
-  // TwinOptions: the calendar-queue + arena-SoA twin must reproduce the
-  // heap + spec-vector twin exactly on the committed flash-crowd
-  // scenario, pooled or not.
-  const std::vector<LiveArrival> arrivals = FlashCrowdArrivals();
-  rt::TwinOptions options = FourCandidateOptions();
-  auto baseline = rt::Twin(options).Run(arrivals);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  for (const bool pooled : {true, false}) {
-    rt::TwinOptions alt = options;
-    alt.pooled_forecasts = pooled;
-    alt.pending_queue = PendingQueueImpl::kCalendarQueue;
-    alt.txn_store = TxnStoreLayout::kArenaSoA;
-    auto run = rt::Twin(alt).Run(arrivals);
-    ASSERT_TRUE(run.ok()) << run.status();
-    EXPECT_EQ(run.ValueOrDie().digest, baseline.ValueOrDie().digest)
-        << "pooled=" << pooled;
-  }
-}
-
 TEST(TwinForecastEngineTest, PruneKeepsTheWinnerOnTheCommittedScenario) {
   // Successive halving is only digest-preserving when the prefix
   // ranking keeps the eventual winner; this differential pins that on

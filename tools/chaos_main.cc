@@ -51,15 +51,6 @@
 //
 // Twin replays also route through --replay (by file header).
 //
-// Huge mode: scale campaign for the large-population structures. Each
-// case is a 10^5-transaction crash/abort/retry scenario run with the
-// calendar-queue pending tier and the arena-SoA transaction store
-// (SimOptions::pending_queue / txn_store), audited by the independent
-// schedule validator, AND re-run with the historical structures to
-// prove the schedule digests are byte-identical at scale.
-//
-//   chaos --huge [--cases N] [--seed S] [--txns T]
-//
 // Steal mode: campaign for the sharded policy state. Each case is a
 // multi-server, workflow-heavy, overloaded scenario run once with a
 // global-state policy and once with its "-sharded" variant (per-shard
@@ -71,7 +62,7 @@
 //   chaos --steal [--cases N] [--seed S]
 //
 // Exit status: 0 when every case passed (or the replay validates),
-// 1 on invariant violations (or a huge-/steal-mode digest divergence),
+// 1 on invariant violations (or a steal-mode digest divergence),
 // 2 on usage/IO errors.
 
 #include <cstdint>
@@ -95,74 +86,9 @@ int Usage(const char* argv0) {
                "       %s --mint FILE [--seed S]\n"
                "       %s --mint-live FILE [--seed S]\n"
                "       %s --mint-twin FILE [--seed S]\n"
-               "       %s --huge [--cases N] [--seed S] [--txns T]\n"
                "       %s --steal [--cases N] [--seed S]\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0, argv0, argv0, argv0);
   return 2;
-}
-
-// One case of the huge-scale campaign: a dense fault cocktail at
-// population `num_txns`, derived deterministically from (seed, index).
-webtx::ChaosCase HugeChaosCase(uint64_t master_seed, uint64_t index,
-                               size_t num_txns) {
-  webtx::ChaosCase c = webtx::RandomChaosCase(master_seed, index);
-  // Keep the randomized policy/fault/retry draw, scale the population,
-  // and make sure every structure carries load: aborts + retries feed
-  // the pending wheel, workflows feed the SoA successor arena.
-  c.num_transactions = num_txns;
-  c.utilization = 0.9;
-  c.max_workflow_length = 4;
-  c.max_workflows_per_txn = 2;
-  if (c.fault.abort_rate == 0.0) c.fault.abort_rate = 0.01;
-  if (c.retry.max_attempts < 2) c.retry.max_attempts = 3;
-  if (c.retry.backoff == 0.0) c.retry.backoff = 1.0;
-  c.pending_queue = webtx::PendingQueueImpl::kCalendarQueue;
-  c.txn_store = webtx::TxnStoreLayout::kArenaSoA;
-  return c;
-}
-
-int RunHugeCampaign(uint64_t master_seed, size_t num_cases, size_t num_txns) {
-  int failures = 0;
-  for (uint64_t i = 0; i < num_cases; ++i) {
-    const webtx::ChaosCase c = HugeChaosCase(master_seed, i, num_txns);
-    auto run = webtx::RunChaosCase(c);
-    if (!run.ok()) {
-      std::fprintf(stderr, "chaos: huge case %llu: %s\n",
-                   static_cast<unsigned long long>(i),
-                   run.status().ToString().c_str());
-      return 2;
-    }
-    const webtx::RunResult result = std::move(run).ValueOrDie();
-    const webtx::Status verdict = webtx::CheckChaosInvariants(c, result);
-    const uint64_t digest = webtx::ScheduleDigest(result);
-    // Differential at scale: the historical structures must produce the
-    // byte-identical schedule.
-    webtx::ChaosCase reference = c;
-    reference.pending_queue = webtx::PendingQueueImpl::kBinaryHeap;
-    reference.txn_store = webtx::TxnStoreLayout::kSpecVector;
-    auto ref_run = webtx::RunChaosCase(reference);
-    if (!ref_run.ok()) {
-      std::fprintf(stderr, "chaos: huge case %llu (reference): %s\n",
-                   static_cast<unsigned long long>(i),
-                   ref_run.status().ToString().c_str());
-      return 2;
-    }
-    const uint64_t ref_digest =
-        webtx::ScheduleDigest(ref_run.ValueOrDie());
-    const bool diverged = digest != ref_digest;
-    std::printf(
-        "case %llu policy=%-22s txns=%zu crashes=%zu migrations=%zu "
-        "aborts=%zu digest=%016llx validator=%s structures=%s\n",
-        static_cast<unsigned long long>(i), c.policy.c_str(),
-        c.num_transactions, result.num_crashes, result.num_migrations,
-        result.num_aborts, static_cast<unsigned long long>(digest),
-        verdict.ok() ? "ok" : verdict.ToString().c_str(),
-        diverged ? "DIVERGED" : "byte-identical");
-    if (!verdict.ok() || diverged) ++failures;
-  }
-  std::printf("huge cases        %zu\n", num_cases);
-  std::printf("failures          %d\n", failures);
-  return failures > 0 ? 1 : 0;
 }
 
 // One case of the steal campaign: multi-server, workflow-heavy and
@@ -572,11 +498,9 @@ int RunMint(const std::string& path, uint64_t master_seed) {
 int main(int argc, char** argv) {
   webtx::ChaosCampaignOptions options;
   bool verbose = false;
-  bool huge = false;
   bool live = false;
   bool steal = false;
   bool twin = false;
-  size_t huge_txns = 100000;
   std::string replay_path;
   std::string mint_path;
   std::string mint_live_path;
@@ -618,14 +542,8 @@ int main(int argc, char** argv) {
       live = true;
     } else if (arg == "--twin") {
       twin = true;
-    } else if (arg == "--huge") {
-      huge = true;
     } else if (arg == "--steal") {
       steal = true;
-    } else if (arg == "--txns") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      huge_txns = static_cast<size_t>(std::strtoull(v, nullptr, 10));
     } else if (arg == "--verbose") {
       verbose = true;
     } else {
@@ -643,11 +561,6 @@ int main(int argc, char** argv) {
   }
   if (live) return RunLiveCampaign(options, verbose);
   if (twin) return RunTwinCampaign(options, verbose);
-  if (huge) {
-    // The default 200 campaign cases would be excessive at 10^5 txns.
-    const size_t cases = options.num_cases == 200 ? 5 : options.num_cases;
-    return RunHugeCampaign(options.master_seed, cases, huge_txns);
-  }
   if (steal) {
     // Each steal case runs twice (global + sharded); trim the default.
     const size_t cases = options.num_cases == 200 ? 25 : options.num_cases;
