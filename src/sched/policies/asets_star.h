@@ -81,6 +81,21 @@ struct AsetsStarOptions {
 /// a workflow's filing depends only on its own final state (both queue
 /// types order by content, (key, id), never by operation history).
 ///
+/// A k-server round is BATCHED the same way (PickBatch). The greedy
+/// PickNextExcluding chain parks the workflows of all i earlier picks at
+/// slot i and restores them afterwards — k(k-1) park-and-restore refiles
+/// per round. The batch instead grows one exclusion set: each pick joins
+/// it once, only that pick's workflows are marked, and the next PickNext
+/// flush parks them; one flush at the end of the round restores every
+/// parked workflow. Picks are identical to the chain's because the
+/// exclusion is monotone within a round: excluding a member changes only
+/// its workflow's head and active bit (never rep_deadline, rep_remaining,
+/// rep_weight or the target list, so never a key), a workflow's Touch
+/// depends only on which of its own members are excluded, and those
+/// stay excluded until the round ends — so every workflow is filed at
+/// slot i exactly as the chain files it. For k = 4 that is 3 parks plus
+/// 3 restores instead of 6 + 6.
+///
 /// The class is templated on the priority-queue type backing the three
 /// lists. `Queue` must provide the IndexedPriorityQueue surface
 /// (Reserve/empty/size/Contains/KeyOf/Push/Top/TopKey/Pop/Erase/Update/
@@ -112,6 +127,7 @@ class AsetsStarPolicyT final : public SchedulerPolicy {
   TxnId PickNext(SimTime now) override;
   TxnId PickNextExcluding(SimTime now,
                           const std::vector<TxnId>& exclude) override;
+  void PickBatch(SimTime now, size_t k, std::vector<TxnId>& out) override;
 
   /// Introspection for tests. Non-const: flushes pending dirty refiles
   /// so the lists reflect every callback delivered so far.
@@ -196,8 +212,9 @@ class AsetsStarPolicyT final : public SchedulerPolicy {
   /// members.size()-capacity slice starting at states_[wid].live_begin).
   std::vector<TxnId> live_arena_;
   /// Transactions already placed on other servers during a multi-server
-  /// scheduling round; Refresh skips them as head candidates. Empty
-  /// outside PickNextExcluding.
+  /// scheduling round; Touch skips them as head candidates. Empty
+  /// outside PickNextExcluding / PickBatch; reserved to num_servers() in
+  /// Bind so a round never allocates.
   std::vector<TxnId> excluded_heads_;
   /// Dirty-set batching state: dirty_[wid] != 0 iff wid is queued in
   /// dirty_list_ awaiting a Touch. dirty_now_ remembers the timestamp of
@@ -250,6 +267,7 @@ void AsetsStarPolicyT<Queue>::Bind(const SimView& v) {
   dirty_list_.clear();
   dirty_list_.reserve(num_wf);
   dirty_now_ = 0.0;
+  excluded_heads_.reserve(v.num_servers());
   edf_.Reserve(num_wf);
   hdf_.Reserve(num_wf);
   critical_.Reserve(num_wf);
@@ -518,6 +536,33 @@ TxnId AsetsStarPolicyT<Queue>::PickNextExcluding(
   for (const TxnId id : exclude) MarkWorkflowsOf(id, now);
   FlushDirty(now);
   return pick;
+}
+
+template <typename Queue>
+void AsetsStarPolicyT<Queue>::PickBatch(SimTime now, size_t k,
+                                        std::vector<TxnId>& out) {
+  // Each pick's workflows are parked once, when the pick joins the
+  // exclusion set (the class comment shows why that files every workflow
+  // as the greedy chain does). The last pick never joins: the chain
+  // never excludes it, and a Touch re-reads live remaining times, so
+  // refiling its workflows for it could move them where the chain leaves
+  // them. The restore flushes before returning, for the reason
+  // PickNextExcluding gives.
+  out.clear();
+  WEBTX_DCHECK(excluded_heads_.empty());
+  for (size_t slot = 0; slot < k; ++slot) {
+    const TxnId pick = PickNext(now);
+    if (pick == kInvalidTxn) break;
+    WEBTX_DCHECK(!IsExcluded(pick));
+    out.push_back(pick);
+    if (slot + 1 == k) break;  // no later slot to exclude it from
+    excluded_heads_.push_back(pick);
+    MarkWorkflowsOf(pick, now);
+  }
+  if (excluded_heads_.empty()) return;
+  for (const TxnId id : excluded_heads_) MarkWorkflowsOf(id, now);
+  excluded_heads_.clear();
+  FlushDirty(now);
 }
 
 template <typename Queue>

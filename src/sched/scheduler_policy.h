@@ -172,6 +172,11 @@ class SchedulerPolicy {
   /// override carries the proof burden of byte-identical picks
   /// (differential-tested against the greedy chain by
   /// tests/sched/pick_excluding_test.cc and every pinned digest).
+  /// Overridden by the single-queue policies and their sharded variants
+  /// (FCFS/EDF/SRPT/LS/HDF/HVF and Mix: the k least queue entries), ASETS
+  /// (a two-list walk) and ASETS*/ASETS*-lazy (one exclusion set grown
+  /// per round). The sharded ASETS* variants and BalanceAware run this
+  /// default chain.
   virtual void PickBatch(SimTime now, size_t k, std::vector<TxnId>& out) {
     out.clear();
     for (size_t slot = 0; slot < k; ++slot) {

@@ -12,7 +12,8 @@
 //     wildly different event counts (sparse vs. saturated abort/retry
 //     process) must allocate EXACTLY the same number of times — any
 //     per-event allocation shows up as a difference proportional to the
-//     event-count gap.
+//     event-count gap. Checked at 2 and 4 servers, so the multi-server
+//     ASETS* PickBatch round is covered with one and three exclusions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -137,9 +138,9 @@ TEST(AllocationTest, RebindAllocatesNothing) {
       << "re-Bind must reuse the arena, dirty set, and queue capacity";
 }
 
-SimOptions AbortOptions(double abort_rate) {
+SimOptions AbortOptions(double abort_rate, size_t num_servers) {
   SimOptions options;
-  options.num_servers = 2;
+  options.num_servers = num_servers;
   FaultPlanConfig fault;
   fault.seed = 31;
   fault.abort_rate = abort_rate;
@@ -167,30 +168,39 @@ TEST(AllocationTest, EventLoopIsAllocationFree) {
   }
   const std::vector<TransactionSpec> txns = WorkflowWorkload(9);
 
-  auto sparse = Simulator::Create(txns, AbortOptions(/*abort_rate=*/0.02));
-  ASSERT_TRUE(sparse.ok()) << sparse.status();
-  auto dense = Simulator::Create(txns, AbortOptions(/*abort_rate=*/1.0));
-  ASSERT_TRUE(dense.ok()) << dense.status();
+  // Two servers exercise a one-exclusion ASETS* PickBatch round; four
+  // servers a three-exclusion round, whose growing exclusion set must
+  // stay inside the capacity Bind reserved.
+  for (const size_t servers : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << servers << " servers");
+    auto sparse =
+        Simulator::Create(txns, AbortOptions(/*abort_rate=*/0.02, servers));
+    ASSERT_TRUE(sparse.ok()) << sparse.status();
+    auto dense =
+        Simulator::Create(txns, AbortOptions(/*abort_rate=*/1.0, servers));
+    ASSERT_TRUE(dense.ok()) << dense.status();
 
-  AsetsStarPolicy sparse_policy;
-  AsetsStarPolicy dense_policy;
-  const uint64_t sparse_allocs =
-      WarmRunAllocations(sparse.ValueOrDie(), sparse_policy);
-  const uint64_t dense_allocs =
-      WarmRunAllocations(dense.ValueOrDie(), dense_policy);
+    AsetsStarPolicy sparse_policy;
+    AsetsStarPolicy dense_policy;
+    const uint64_t sparse_allocs =
+        WarmRunAllocations(sparse.ValueOrDie(), sparse_policy);
+    const uint64_t dense_allocs =
+        WarmRunAllocations(dense.ValueOrDie(), dense_policy);
 
-  // Sanity: the saturated abort process really does run far more events.
-  const RunResult sparse_run = sparse.ValueOrDie().Run(sparse_policy);
-  const RunResult dense_run = dense.ValueOrDie().Run(dense_policy);
-  ASSERT_GT(dense_run.num_scheduling_points,
-            2 * sparse_run.num_scheduling_points);
+    // Sanity: the saturated abort process really does run far more
+    // events.
+    const RunResult sparse_run = sparse.ValueOrDie().Run(sparse_policy);
+    const RunResult dense_run = dense.ValueOrDie().Run(dense_policy);
+    ASSERT_GT(dense_run.num_scheduling_points,
+              2 * sparse_run.num_scheduling_points);
 
-  EXPECT_EQ(sparse_allocs, dense_allocs)
-      << "warm-run allocation count must not scale with event count "
-         "(sparse run: "
-      << sparse_run.num_scheduling_points
-      << " scheduling points, dense run: "
-      << dense_run.num_scheduling_points << ")";
+    EXPECT_EQ(sparse_allocs, dense_allocs)
+        << "warm-run allocation count must not scale with event count "
+           "(sparse run: "
+        << sparse_run.num_scheduling_points
+        << " scheduling points, dense run: "
+        << dense_run.num_scheduling_points << ")";
+  }
 }
 
 // A pre-reserved priority structure must absorb a 262k push/pop storm
