@@ -16,7 +16,9 @@
 # schedule validator, so crash/migration regressions that no fixed test
 # anticipates still fail the gate. A failing case is auto-shrunk and the
 # reproducer path is printed — commit it under
-# tests/integration/replays/ to pin the regression.
+# tests/integration/replays/ to pin the regression. The stage then
+# replays every committed file under tests/integration/replays/ through
+# `tools/chaos --replay`, each of which must exit 0.
 #
 # A live-smoke stage runs the same idea against the REAL executor
 # (tools/chaos --live): randomized fault-injected cases on worker
@@ -56,7 +58,8 @@
 #                         [--bench-gate] [--huge-smoke] [--steal-smoke]
 #                         [--twin-smoke]
 #   --fast         plain preset only (skips sanitizers and bench smoke)
-#   --chaos-smoke  plain preset + chaos campaign only (quick fault audit)
+#   --chaos-smoke  plain preset + chaos campaign + committed replays only
+#                  (quick fault audit)
 #   --live-smoke   plain preset + live executor campaign only (50 cases
 #                  of tools/chaos --live, digest-checked + validated)
 #   --bench-gate   release build + fig08 perf-regression gate only
@@ -302,6 +305,14 @@ chaos_smoke() {
   echo "==> chaos smoke [default]"
   ./build/tools/chaos --cases 100 --seed 2009 \
     --out build/chaos_reproducer.chaos
+  # Every committed replay, whatever its domain, must replay clean
+  # through the CLI: this is the only coverage of the tool's header ->
+  # domain dispatch (the ctest replay suites call the library directly).
+  local replay
+  for replay in tests/integration/replays/*.chaos; do
+    echo "==> replay $replay"
+    ./build/tools/chaos --replay "$replay"
+  done
 }
 
 live_smoke() {

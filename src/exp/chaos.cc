@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <fstream>
-#include <iomanip>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -19,8 +16,6 @@
 namespace webtx {
 
 namespace {
-
-constexpr char kReplayHeader[] = "webtx-chaos-replay v1";
 
 // DeriveSeed coordinates carving out the chaos harness's own seed
 // streams (arbitrary but fixed; reproducers depend on them).
@@ -59,36 +54,6 @@ uint64_t Bits(double d) {
   uint64_t u;
   std::memcpy(&u, &d, sizeof(u));
   return u;
-}
-
-std::string FormatDouble(double d) {
-  std::ostringstream os;
-  os << std::setprecision(17) << d;
-  return os.str();
-}
-
-bool ParseU64(const std::string& text, uint64_t* out) {
-  std::istringstream is(text);
-  is >> *out;
-  return !is.fail() && is.eof();
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  std::istringstream is(text);
-  is >> *out;
-  return !is.fail() && is.eof();
-}
-
-// Applies `mutate` to a copy; commits it iff the failure still
-// reproduces. Returns whether the simplification was kept.
-template <typename Mutation>
-bool TryMutation(ChaosCase& c, Mutation mutate,
-                 const ChaosPredicate& still_fails) {
-  ChaosCase candidate = c;
-  mutate(candidate);
-  if (!still_fails(candidate)) return false;
-  c = std::move(candidate);
-  return true;
 }
 
 // The draw ordinal (per-server draw order) of the `index`-th *surviving*
@@ -173,219 +138,79 @@ uint64_t ScheduleDigest(const RunResult& result) {
   return h;
 }
 
-std::string SerializeChaosCase(const ChaosCase& c) {
-  std::ostringstream os;
-  os << kReplayHeader << "\n";
-  os << "workload_seed " << c.workload_seed << "\n";
-  os << "num_transactions " << c.num_transactions << "\n";
-  os << "utilization " << FormatDouble(c.utilization) << "\n";
-  os << "max_weight " << c.max_weight << "\n";
-  os << "max_workflow_length " << c.max_workflow_length << "\n";
-  os << "max_workflows_per_txn " << c.max_workflows_per_txn << "\n";
-  os << "burstiness " << FormatDouble(c.burstiness) << "\n";
-  os << "estimate_error " << FormatDouble(c.estimate_error) << "\n";
-  os << "num_servers " << c.num_servers << "\n";
-  os << "policy " << c.policy << "\n";
-  os << "outage_rate " << FormatDouble(c.fault.outage_rate) << "\n";
-  os << "mean_outage_duration " << FormatDouble(c.fault.mean_outage_duration)
-     << "\n";
-  os << "abort_rate " << FormatDouble(c.fault.abort_rate) << "\n";
-  os << "crash_rate " << FormatDouble(c.fault.crash_rate) << "\n";
-  os << "mean_repair_duration " << FormatDouble(c.fault.mean_repair_duration)
-     << "\n";
-  os << "migration " << MigrationPolicyName(c.fault.migration) << "\n";
-  os << "correlated_crash_prob "
-     << FormatDouble(c.fault.correlated_crash_prob) << "\n";
-  os << "fault_seed " << c.fault.seed << "\n";
-  os << "retry_max_attempts " << c.retry.max_attempts << "\n";
-  os << "retry_backoff " << FormatDouble(c.retry.backoff) << "\n";
-  os << "retry_backoff_multiplier "
-     << FormatDouble(c.retry.backoff_multiplier) << "\n";
-  os << "retry_max_backoff " << FormatDouble(c.retry.max_backoff) << "\n";
-  os << "admission_max_ready " << c.admission_max_ready << "\n";
-  for (const uint64_t key : c.fault.suppressed_crashes) {
-    os << "suppress_crash " << FaultOrdinalServer(key) << " "
-       << FaultOrdinalIndex(key) << "\n";
-  }
-  for (const uint64_t key : c.fault.suppressed_outages) {
-    os << "suppress_outage " << FaultOrdinalServer(key) << " "
-       << FaultOrdinalIndex(key) << "\n";
-  }
-  return os.str();
+ReplayFields<ChaosCase> SimChaos::Fields() {
+  using C = ChaosCase;
+  ReplayFields<C> f = {
+      Field("workload_seed", &C::workload_seed),
+      Field("num_transactions", &C::num_transactions),
+      Field("utilization", &C::utilization),
+      Field("max_weight", &C::max_weight),
+      Field("max_workflow_length", &C::max_workflow_length),
+      Field("max_workflows_per_txn", &C::max_workflows_per_txn),
+      Field("burstiness", &C::burstiness),
+      Field("estimate_error", &C::estimate_error),
+      Field("num_servers", &C::num_servers),
+      Field("policy", &C::policy)};
+  AppendFields(f, &C::fault, FaultFields());
+  AppendFields(f, &C::retry,
+               {Field("retry_max_attempts", &RetryOptions::max_attempts),
+                Field("retry_backoff", &RetryOptions::backoff),
+                Field("retry_backoff_multiplier",
+                      &RetryOptions::backoff_multiplier),
+                Field("retry_max_backoff", &RetryOptions::max_backoff)});
+  f.push_back(Field("admission_max_ready", &C::admission_max_ready));
+  // "<server> <draw ordinal>": one suppressed natural fault window.
+  const auto format = [](const uint64_t& key) {
+    return FormatValue(FaultOrdinalServer(key)) + ' ' +
+           FormatValue(FaultOrdinalIndex(key));
+  };
+  const auto parse = [](const std::string& value, uint64_t* key) {
+    std::vector<std::string> tokens;
+    uint32_t server = 0;
+    uint32_t ordinal = 0;
+    if (!SplitValue(value, 2, &tokens) || !ParseValue(tokens[0], &server) ||
+        !ParseValue(tokens[1], &ordinal)) {
+      return false;
+    }
+    *key = EncodeFaultOrdinal(server, ordinal);
+    return true;
+  };
+  using F = FaultPlanConfig;
+  AppendFields(
+      f, &C::fault,
+      {RepeatedField("suppress_crash", &F::suppressed_crashes, format, parse),
+       RepeatedField("suppress_outage", &F::suppressed_outages, format,
+                     parse)});
+  return f;
 }
 
-Result<ChaosCase> ParseChaosReplay(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  bool saw_header = false;
-  ChaosCase c;
-  size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    if (!saw_header) {
-      if (line != kReplayHeader) {
-        return Status::InvalidArgument("not a chaos replay file: expected '" +
-                                       std::string(kReplayHeader) +
-                                       "', got '" + line + "'");
-      }
-      saw_header = true;
-      continue;
-    }
-    const size_t space = line.find(' ');
-    if (space == std::string::npos) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": expected 'key value', got '" + line +
-                                     "'");
-    }
-    const std::string key = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
-    const auto bad = [&] {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": bad value for " + key + ": '" +
-                                     value + "'");
-    };
-    uint64_t u = 0;
-    double d = 0.0;
-    if (key == "workload_seed") {
-      if (!ParseU64(value, &c.workload_seed)) return bad();
-    } else if (key == "num_transactions") {
-      if (!ParseU64(value, &u)) return bad();
-      c.num_transactions = u;
-    } else if (key == "utilization") {
-      if (!ParseDouble(value, &c.utilization)) return bad();
-    } else if (key == "max_weight") {
-      if (!ParseU64(value, &c.max_weight)) return bad();
-    } else if (key == "max_workflow_length") {
-      if (!ParseU64(value, &u)) return bad();
-      c.max_workflow_length = u;
-    } else if (key == "max_workflows_per_txn") {
-      if (!ParseU64(value, &u)) return bad();
-      c.max_workflows_per_txn = u;
-    } else if (key == "burstiness") {
-      if (!ParseDouble(value, &c.burstiness)) return bad();
-    } else if (key == "estimate_error") {
-      if (!ParseDouble(value, &c.estimate_error)) return bad();
-    } else if (key == "num_servers") {
-      if (!ParseU64(value, &u)) return bad();
-      c.num_servers = u;
-    } else if (key == "policy") {
-      c.policy = value;
-    } else if (key == "outage_rate") {
-      if (!ParseDouble(value, &c.fault.outage_rate)) return bad();
-    } else if (key == "mean_outage_duration") {
-      if (!ParseDouble(value, &c.fault.mean_outage_duration)) return bad();
-    } else if (key == "abort_rate") {
-      if (!ParseDouble(value, &c.fault.abort_rate)) return bad();
-    } else if (key == "crash_rate") {
-      if (!ParseDouble(value, &c.fault.crash_rate)) return bad();
-    } else if (key == "mean_repair_duration") {
-      if (!ParseDouble(value, &c.fault.mean_repair_duration)) return bad();
-    } else if (key == "migration") {
-      if (value == "warm") {
-        c.fault.migration = MigrationPolicy::kWarm;
-      } else if (value == "cold") {
-        c.fault.migration = MigrationPolicy::kCold;
-      } else {
-        return bad();
-      }
-    } else if (key == "correlated_crash_prob") {
-      if (!ParseDouble(value, &c.fault.correlated_crash_prob)) return bad();
-    } else if (key == "fault_seed") {
-      if (!ParseU64(value, &c.fault.seed)) return bad();
-    } else if (key == "retry_max_attempts") {
-      if (!ParseU64(value, &u)) return bad();
-      c.retry.max_attempts = static_cast<uint32_t>(u);
-    } else if (key == "retry_backoff") {
-      if (!ParseDouble(value, &c.retry.backoff)) return bad();
-    } else if (key == "retry_backoff_multiplier") {
-      if (!ParseDouble(value, &c.retry.backoff_multiplier)) return bad();
-    } else if (key == "retry_max_backoff") {
-      if (!ParseDouble(value, &c.retry.max_backoff)) return bad();
-    } else if (key == "admission_max_ready") {
-      if (!ParseU64(value, &u)) return bad();
-      c.admission_max_ready = u;
-    } else if (key == "suppress_crash" || key == "suppress_outage") {
-      // "<server> <draw ordinal>": one suppressed natural fault window.
-      const size_t sep = value.find(' ');
-      uint64_t server = 0;
-      uint64_t ordinal = 0;
-      if (sep == std::string::npos ||
-          !ParseU64(value.substr(0, sep), &server) ||
-          !ParseU64(value.substr(sep + 1), &ordinal) ||
-          server > 0xffffffffULL || ordinal > 0xffffffffULL) {
-        return bad();
-      }
-      auto& list = key == "suppress_crash" ? c.fault.suppressed_crashes
-                                           : c.fault.suppressed_outages;
-      list.push_back(EncodeFaultOrdinal(static_cast<uint32_t>(server),
-                                        static_cast<uint32_t>(ordinal)));
-    } else {
-      // A replay must not silently lose a knob it doesn't understand.
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": unknown key '" + key + "'");
-    }
-    (void)d;
-  }
-  if (!saw_header) {
-    return Status::InvalidArgument("empty replay file (no header)");
-  }
-  return c;
-}
-
-ChaosCase ShrinkChaosCase(ChaosCase c, const ChaosPredicate& still_fails) {
+ChaosCase ShrinkChaosCase(ChaosCase c,
+                          const CasePredicate<ChaosCase>& still_fails) {
+  using C = ChaosCase;
   // Halve the horizon first: every later probe re-runs the case, so
   // shrinking the workload early makes the rest of the pass cheap.
-  while (c.num_transactions > 1 &&
-         TryMutation(
-             c, [](ChaosCase& x) { x.num_transactions /= 2; }, still_fails)) {
-  }
+  HalveWhileFailing(c, &C::num_transactions, still_fails);
   // Drop whole fault streams, least-suspect first, so the surviving
   // config names the stream that matters.
-  TryMutation(
-      c, [](ChaosCase& x) { x.fault.abort_rate = 0.0; }, still_fails);
-  TryMutation(
-      c,
-      [](ChaosCase& x) {
-        x.fault.outage_rate = 0.0;
-        x.fault.mean_outage_duration = 0.0;
-      },
-      still_fails);
-  TryMutation(
-      c, [](ChaosCase& x) { x.fault.correlated_crash_prob = 0.0; },
-      still_fails);
-  TryMutation(
-      c,
-      [](ChaosCase& x) {
-        // Correlated mode cannot outlive the crash stream it rides on.
-        x.fault.crash_rate = 0.0;
-        x.fault.mean_repair_duration = 0.0;
-        x.fault.correlated_crash_prob = 0.0;
-      },
-      still_fails);
+  TryMutation(c, DropAborts, still_fails);
+  TryMutation(c, DropOutages, still_fails);
+  TryMutation(c, DropCorrelation, still_fails);
+  TryMutation(c, DropCrashes, still_fails);
   // Disable the reactive machinery.
-  TryMutation(
-      c, [](ChaosCase& x) { x.admission_max_ready = 0; }, still_fails);
-  TryMutation(
-      c, [](ChaosCase& x) { x.retry = RetryOptions{}; }, still_fails);
+  TryMutation(c, [](C& x) { x.admission_max_ready = 0; }, still_fails);
+  TryMutation(c, [](C& x) { x.retry = RetryOptions{}; }, still_fails);
   // Level the workload shape.
-  TryMutation(
-      c, [](ChaosCase& x) { x.estimate_error = 0.0; }, still_fails);
-  TryMutation(c, [](ChaosCase& x) { x.burstiness = 0.0; }, still_fails);
-  TryMutation(c, [](ChaosCase& x) { x.max_weight = 1; }, still_fails);
+  TryMutation(c, [](C& x) { x.estimate_error = 0.0; }, still_fails);
+  TryMutation(c, [](C& x) { x.burstiness = 0.0; }, still_fails);
+  TryMutation(c, [](C& x) { x.max_weight = 1; }, still_fails);
   TryMutation(
       c,
-      [](ChaosCase& x) {
+      [](C& x) {
         x.max_workflow_length = 1;
         x.max_workflows_per_txn = 1;
       },
       still_fails);
-  // Remove servers one at a time.
-  while (c.num_servers > 1 &&
-         TryMutation(
-             c, [](ChaosCase& x) { --x.num_servers; }, still_fails)) {
-  }
+  DecrementWhileFailing(c, &C::num_servers, still_fails);
   // Bisect the fault timeline itself: drop individual natural crash /
   // outage instants that survived the whole-stream passes. Suppression
   // is draw-and-discard, so removing one window leaves every other
@@ -414,7 +239,7 @@ ChaosCase ShrinkChaosCase(ChaosCase c, const ChaosPredicate& still_fails) {
                 SurvivorOrdinal(c.fault.*list, w.server, index);
             if (TryMutation(
                     c,
-                    [&](ChaosCase& x) {
+                    [&](C& x) {
                       (x.fault.*list)
                           .push_back(EncodeFaultOrdinal(w.server, ordinal));
                     },
@@ -435,10 +260,7 @@ ChaosCase ShrinkChaosCase(ChaosCase c, const ChaosPredicate& still_fails) {
                  c.fault.outage_rate > 0.0);
   // The dropped streams, servers, and fault instants may have freed
   // slack for another round of horizon halving.
-  while (c.num_transactions > 1 &&
-         TryMutation(
-             c, [](ChaosCase& x) { x.num_transactions /= 2; }, still_fails)) {
-  }
+  HalveWhileFailing(c, &C::num_transactions, still_fails);
   return c;
 }
 
@@ -486,43 +308,6 @@ ChaosCase RandomChaosCase(uint64_t master_seed, uint64_t index) {
   c.admission_max_ready =
       rng.NextDouble() < 0.6 ? 0 : rng.NextInRange(8, 64);
   return c;
-}
-
-Result<ChaosCampaignResult> RunChaosCampaign(
-    const ChaosCampaignOptions& options) {
-  ChaosCampaignResult out;
-  for (size_t i = 0; i < options.num_cases; ++i) {
-    const ChaosCase c = RandomChaosCase(options.master_seed, i);
-    WEBTX_ASSIGN_OR_RETURN(RunResult result, RunChaosCase(c));
-    out.total_crashes += result.num_crashes;
-    out.total_migrations += result.num_migrations;
-    out.total_aborts += result.num_aborts;
-    out.total_outages += result.num_outages;
-    const Status verdict = CheckChaosInvariants(c, result);
-    ++out.cases_run;
-    if (options.progress) {
-      options.progress(i, verdict.ok() ? std::string() : verdict.ToString());
-    }
-    if (verdict.ok()) continue;
-    ++out.violations;
-    if (out.violations > 1) continue;  // shrink only the first failure
-    out.first_violation = verdict.ToString();
-    const ChaosPredicate fails = [](const ChaosCase& x) {
-      auto rerun = RunChaosCase(x);
-      if (!rerun.ok()) return false;  // invalid shrink candidate
-      return !CheckChaosInvariants(x, rerun.ValueOrDie()).ok();
-    };
-    out.first_reproducer = ShrinkChaosCase(c, fails);
-    if (!options.reproducer_path.empty()) {
-      std::ofstream file(options.reproducer_path);
-      file << SerializeChaosCase(out.first_reproducer);
-      if (!file.good()) {
-        return Status::IOError("cannot write reproducer to " +
-                               options.reproducer_path);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace webtx

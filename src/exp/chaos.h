@@ -1,12 +1,13 @@
 #ifndef WEBTX_EXP_CHAOS_H_
 #define WEBTX_EXP_CHAOS_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/result.h"
+#include "exp/campaign.h"
 #include "sim/fault_plan.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"
@@ -59,20 +60,6 @@ Status CheckChaosInvariants(const ChaosCase& c, const RunResult& result);
 /// oracle, and stable across platforms (doubles hashed by bit pattern).
 uint64_t ScheduleDigest(const RunResult& result);
 
-/// Serializes a case as "key value" lines under a versioned header —
-/// the replay-file format. Round-trips exactly (doubles printed with
-/// max_digits10).
-std::string SerializeChaosCase(const ChaosCase& c);
-
-/// Parses a replay file produced by SerializeChaosCase. Unknown keys
-/// are errors (a replay must not silently lose a knob); missing keys
-/// keep their ChaosCase defaults.
-Result<ChaosCase> ParseChaosReplay(const std::string& text);
-
-/// Returns true when the case still exhibits the failure being
-/// shrunk. Predicates must be deterministic (same case, same answer).
-using ChaosPredicate = std::function<bool(const ChaosCase&)>;
-
 /// Greedily shrinks a failing case while `still_fails` holds: halves
 /// the transaction count, drops whole fault streams (aborts, outages,
 /// correlated mode, crashes), disables admission and retries, levels
@@ -84,7 +71,8 @@ using ChaosPredicate = std::function<bool(const ChaosCase&)>;
 /// predicate still fails. The result is a local minimum: every
 /// remaining knob and every remaining fault instant is load-bearing.
 /// Requires still_fails(c) on entry.
-ChaosCase ShrinkChaosCase(ChaosCase c, const ChaosPredicate& still_fails);
+ChaosCase ShrinkChaosCase(ChaosCase c,
+                          const CasePredicate<ChaosCase>& still_fails);
 
 /// Derives case `index` of a campaign from `master_seed` via the
 /// DeriveSeed chain: randomizes the policy, workload shape, crash /
@@ -93,40 +81,33 @@ ChaosCase ShrinkChaosCase(ChaosCase c, const ChaosPredicate& still_fails);
 /// (this is a crash-failover harness). Pure function of its arguments.
 ChaosCase RandomChaosCase(uint64_t master_seed, uint64_t index);
 
-struct ChaosCampaignOptions {
-  uint64_t master_seed = 1;
-  /// Randomized (policy, fault plan, seed) cases to run.
-  size_t num_cases = 200;
-  /// When non-empty and a violation is found, the shrunken reproducer
-  /// is serialized here.
-  std::string reproducer_path;
-  /// Per-case progress callback (case index, violation or empty).
-  std::function<void(size_t index, const std::string& violation)> progress;
+/// The simulator campaign domain (exp/campaign.h): every case runs once
+/// and is audited by CheckChaosInvariants. Replay files carry the fault
+/// plan's suppressed windows as repeated `suppress_crash <server>
+/// <ordinal>` / `suppress_outage ...` lines.
+struct SimChaos {
+  using Case = ChaosCase;
+  using Run = RunResult;
+  static constexpr char kHeader[] = "webtx-chaos-replay v1";
+  static constexpr char kMode[] = "";
+  static constexpr char kDigestName[] = "schedule";
+  static constexpr size_t kDefaultCases = 200;
+  static constexpr bool kRunTwice = false;
+  static constexpr std::array<const char*, 4> kTallies = {
+      "total_crashes", "total_migrations", "total_aborts", "total_outages"};
+  static ReplayFields<ChaosCase> Fields();
+  static constexpr auto Random = &RandomChaosCase;
+  static constexpr auto Execute = &RunChaosCase;
+  static constexpr auto Digest = &ScheduleDigest;
+  static constexpr auto Check = &CheckChaosInvariants;
+  static constexpr auto Shrink = &ShrinkChaosCase;
+  static void Tally(const RunResult& r, Tallies& t) {
+    t["total_crashes"] += r.num_crashes;
+    t["total_migrations"] += r.num_migrations;
+    t["total_aborts"] += r.num_aborts;
+    t["total_outages"] += r.num_outages;
+  }
 };
-
-struct ChaosCampaignResult {
-  size_t cases_run = 0;
-  size_t violations = 0;
-  /// Validator message of the first violation (empty when none).
-  std::string first_violation;
-  /// The first failing case, shrunk to a local minimum.
-  ChaosCase first_reproducer;
-  // Aggregate fault activity, to prove the campaign exercised the
-  // machinery rather than idling on fault-free cases.
-  size_t total_crashes = 0;
-  size_t total_migrations = 0;
-  size_t total_aborts = 0;
-  size_t total_outages = 0;
-};
-
-/// Runs `num_cases` randomized cases through RunChaosCase +
-/// CheckChaosInvariants. On the first violation the case is shrunk
-/// (predicate: the violation — any violation — still reproduces) and
-/// serialized to `reproducer_path`; the campaign then continues, so
-/// the violation count is complete. IOError if the reproducer cannot
-/// be written.
-Result<ChaosCampaignResult> RunChaosCampaign(
-    const ChaosCampaignOptions& options);
 
 }  // namespace webtx
 

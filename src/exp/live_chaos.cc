@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <fstream>
-#include <iomanip>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "common/rng.h"
@@ -17,8 +14,6 @@
 namespace webtx {
 
 namespace {
-
-constexpr char kReplayHeader[] = "webtx-live-chaos-replay v1";
 
 // DeriveSeed coordinates of the live harness's own seed streams
 // (arbitrary but fixed; reproducers depend on them). Distinct from the
@@ -31,24 +26,6 @@ constexpr double kMinTaskSeconds = 1e-4;
 double ExpDraw(Rng& rng, double mean) {
   // -mean * ln(1 - U), U in [0, 1): the standard inverse-CDF draw.
   return -mean * std::log1p(-rng.NextDouble());
-}
-
-std::string FormatDouble(double d) {
-  std::ostringstream os;
-  os << std::setprecision(17) << d;
-  return os.str();
-}
-
-bool ParseU64(const std::string& text, uint64_t* out) {
-  std::istringstream is(text);
-  is >> *out;
-  return !is.fail() && is.eof();
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  std::istringstream is(text);
-  is >> *out;
-  return !is.fail() && is.eof();
 }
 
 /// One drawn task: the harness materializes the whole workload before
@@ -116,26 +93,12 @@ rt::ExecutorOptions ExecutorOptionsFor(const LiveChaosCase& c,
   return options;
 }
 
-// Applies `mutate` to a copy; commits it iff the failure still
-// reproduces. Returns whether the simplification was kept.
-template <typename Mutation>
-bool TryMutation(LiveChaosCase& c, Mutation mutate,
-                 const LiveChaosPredicate& still_fails) {
-  LiveChaosCase candidate = c;
-  mutate(candidate);
-  if (!still_fails(candidate)) return false;
-  c = std::move(candidate);
-  return true;
-}
-
 }  // namespace
 
 Result<LiveChaosRun> RunLiveChaosCase(const LiveChaosCase& c) {
-  if (c.num_tasks == 0) {
-    return Status::InvalidArgument("live chaos case has no tasks");
-  }
-  if (c.num_workers == 0) {
-    return Status::InvalidArgument("live chaos case has no workers");
+  if (c.num_tasks == 0 || c.num_workers == 0 || c.max_weight == 0) {
+    return Status::InvalidArgument(
+        "num_tasks, num_workers and max_weight must be >= 1");
   }
   if (!(c.mean_interarrival > 0.0) || !(c.mean_duration > 0.0)) {
     return Status::InvalidArgument(
@@ -214,266 +177,63 @@ Status CheckLiveChaosInvariants(const LiveChaosCase& c,
   options.retry_max_backoff = c.retry_max_backoff;
   const rt::LiveValidationResult verdict = rt::ValidateLiveTrace(
       run.trace, run.tasks, run.outcomes, run.stats, options);
-  if (verdict.ok()) return Status();
-  std::ostringstream os;
-  os << verdict.violations.size() << " live invariant violation(s):";
-  const size_t show = std::min<size_t>(verdict.violations.size(), 3);
-  for (size_t i = 0; i < show; ++i) os << " [" << verdict.violations[i] << "]";
-  return Status::InvalidArgument(os.str());
+  return InvariantViolations("live", verdict.violations);
 }
 
-std::string SerializeLiveChaosCase(const LiveChaosCase& c) {
-  std::ostringstream os;
-  os << kReplayHeader << "\n";
-  os << "workload_seed " << c.workload_seed << "\n";
-  os << "num_tasks " << c.num_tasks << "\n";
-  os << "mean_interarrival " << FormatDouble(c.mean_interarrival) << "\n";
-  os << "mean_duration " << FormatDouble(c.mean_duration) << "\n";
-  os << "deadline_slack " << FormatDouble(c.deadline_slack) << "\n";
-  os << "max_weight " << c.max_weight << "\n";
-  os << "dep_prob " << FormatDouble(c.dep_prob) << "\n";
-  os << "timeout_prob " << FormatDouble(c.timeout_prob) << "\n";
-  os << "num_workers " << c.num_workers << "\n";
-  os << "policy " << c.policy << "\n";
-  os << "outage_rate " << FormatDouble(c.fault.outage_rate) << "\n";
-  os << "mean_outage_duration " << FormatDouble(c.fault.mean_outage_duration)
-     << "\n";
-  os << "abort_rate " << FormatDouble(c.fault.abort_rate) << "\n";
-  os << "crash_rate " << FormatDouble(c.fault.crash_rate) << "\n";
-  os << "mean_repair_duration " << FormatDouble(c.fault.mean_repair_duration)
-     << "\n";
-  os << "migration " << MigrationPolicyName(c.fault.migration) << "\n";
-  os << "correlated_crash_prob " << FormatDouble(c.fault.correlated_crash_prob)
-     << "\n";
-  os << "fault_seed " << c.fault.seed << "\n";
-  os << "latency_spike_prob " << FormatDouble(c.latency_spike_prob) << "\n";
-  os << "mean_latency_spike " << FormatDouble(c.mean_latency_spike) << "\n";
-  os << "retry_max_attempts " << c.retry_max_attempts << "\n";
-  os << "retry_backoff " << FormatDouble(c.retry_backoff) << "\n";
-  os << "retry_backoff_multiplier "
-     << FormatDouble(c.retry_backoff_multiplier) << "\n";
-  os << "retry_max_backoff " << FormatDouble(c.retry_max_backoff) << "\n";
-  os << "retry_budget " << c.retry_budget << "\n";
-  switch (c.admission) {
-    case LiveChaosCase::Admission::kNone:
-      os << "admission none\n";
-      break;
-    case LiveChaosCase::Admission::kQueueDepth:
-      os << "admission depth\n";
-      break;
-    case LiveChaosCase::Admission::kBrownout:
-      os << "admission brownout\n";
-      break;
-  }
-  os << "admission_max_ready " << c.admission_max_ready << "\n";
-  os << "watchdog " << (c.watchdog ? 1 : 0) << "\n";
-  os << "watchdog_stall_seconds " << FormatDouble(c.watchdog_stall_seconds)
-     << "\n";
-  return os.str();
+ReplayFields<LiveChaosCase> LiveChaos::Fields() {
+  using C = LiveChaosCase;
+  ReplayFields<C> f = {Field("workload_seed", &C::workload_seed),
+                       Field("num_tasks", &C::num_tasks),
+                       Field("mean_interarrival", &C::mean_interarrival),
+                       Field("mean_duration", &C::mean_duration),
+                       Field("deadline_slack", &C::deadline_slack),
+                       Field("max_weight", &C::max_weight),
+                       Field("dep_prob", &C::dep_prob),
+                       Field("timeout_prob", &C::timeout_prob),
+                       Field("num_workers", &C::num_workers),
+                       Field("policy", &C::policy)};
+  AppendFields(f, &C::fault, FaultFields());
+  AppendExecutorFields(
+      f, {Field("admission", &C::admission,
+                EnumNames<C::Admission>{
+                    {C::Admission::kNone, "none"},
+                    {C::Admission::kQueueDepth, "depth"},
+                    {C::Admission::kBrownout, "brownout"}}),
+          Field("admission_max_ready", &C::admission_max_ready)});
+  return f;
 }
 
-Result<LiveChaosCase> ParseLiveChaosReplay(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  bool saw_header = false;
-  LiveChaosCase c;
-  size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    if (!saw_header) {
-      if (line != kReplayHeader) {
-        return Status::InvalidArgument(
-            "not a live chaos replay file: expected '" +
-            std::string(kReplayHeader) + "', got '" + line + "'");
-      }
-      saw_header = true;
-      continue;
-    }
-    const size_t space = line.find(' ');
-    if (space == std::string::npos) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": expected 'key value', got '" + line +
-                                     "'");
-    }
-    const std::string key = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
-    const auto bad = [&] {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": bad value for " + key + ": '" +
-                                     value + "'");
-    };
-    uint64_t u = 0;
-    if (key == "workload_seed") {
-      if (!ParseU64(value, &c.workload_seed)) return bad();
-    } else if (key == "num_tasks") {
-      if (!ParseU64(value, &u)) return bad();
-      c.num_tasks = u;
-    } else if (key == "mean_interarrival") {
-      if (!ParseDouble(value, &c.mean_interarrival)) return bad();
-    } else if (key == "mean_duration") {
-      if (!ParseDouble(value, &c.mean_duration)) return bad();
-    } else if (key == "deadline_slack") {
-      if (!ParseDouble(value, &c.deadline_slack)) return bad();
-    } else if (key == "max_weight") {
-      if (!ParseU64(value, &c.max_weight)) return bad();
-    } else if (key == "dep_prob") {
-      if (!ParseDouble(value, &c.dep_prob)) return bad();
-    } else if (key == "timeout_prob") {
-      if (!ParseDouble(value, &c.timeout_prob)) return bad();
-    } else if (key == "num_workers") {
-      if (!ParseU64(value, &u)) return bad();
-      c.num_workers = u;
-    } else if (key == "policy") {
-      c.policy = value;
-    } else if (key == "outage_rate") {
-      if (!ParseDouble(value, &c.fault.outage_rate)) return bad();
-    } else if (key == "mean_outage_duration") {
-      if (!ParseDouble(value, &c.fault.mean_outage_duration)) return bad();
-    } else if (key == "abort_rate") {
-      if (!ParseDouble(value, &c.fault.abort_rate)) return bad();
-    } else if (key == "crash_rate") {
-      if (!ParseDouble(value, &c.fault.crash_rate)) return bad();
-    } else if (key == "mean_repair_duration") {
-      if (!ParseDouble(value, &c.fault.mean_repair_duration)) return bad();
-    } else if (key == "migration") {
-      if (value == "warm") {
-        c.fault.migration = MigrationPolicy::kWarm;
-      } else if (value == "cold") {
-        c.fault.migration = MigrationPolicy::kCold;
-      } else {
-        return bad();
-      }
-    } else if (key == "correlated_crash_prob") {
-      if (!ParseDouble(value, &c.fault.correlated_crash_prob)) return bad();
-    } else if (key == "fault_seed") {
-      if (!ParseU64(value, &c.fault.seed)) return bad();
-    } else if (key == "latency_spike_prob") {
-      if (!ParseDouble(value, &c.latency_spike_prob)) return bad();
-    } else if (key == "mean_latency_spike") {
-      if (!ParseDouble(value, &c.mean_latency_spike)) return bad();
-    } else if (key == "retry_max_attempts") {
-      if (!ParseU64(value, &u)) return bad();
-      c.retry_max_attempts = static_cast<uint32_t>(u);
-    } else if (key == "retry_backoff") {
-      if (!ParseDouble(value, &c.retry_backoff)) return bad();
-    } else if (key == "retry_backoff_multiplier") {
-      if (!ParseDouble(value, &c.retry_backoff_multiplier)) return bad();
-    } else if (key == "retry_max_backoff") {
-      if (!ParseDouble(value, &c.retry_max_backoff)) return bad();
-    } else if (key == "retry_budget") {
-      if (!ParseU64(value, &u)) return bad();
-      c.retry_budget = u;
-    } else if (key == "admission") {
-      if (value == "none") {
-        c.admission = LiveChaosCase::Admission::kNone;
-      } else if (value == "depth") {
-        c.admission = LiveChaosCase::Admission::kQueueDepth;
-      } else if (value == "brownout") {
-        c.admission = LiveChaosCase::Admission::kBrownout;
-      } else {
-        return bad();
-      }
-    } else if (key == "admission_max_ready") {
-      if (!ParseU64(value, &u)) return bad();
-      c.admission_max_ready = u;
-    } else if (key == "watchdog") {
-      if (!ParseU64(value, &u) || u > 1) return bad();
-      c.watchdog = u == 1;
-    } else if (key == "watchdog_stall_seconds") {
-      if (!ParseDouble(value, &c.watchdog_stall_seconds)) return bad();
-    } else {
-      // A replay must not silently lose a knob it doesn't understand.
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": unknown key '" + key + "'");
-    }
-  }
-  if (!saw_header) {
-    return Status::InvalidArgument("empty replay file (no header)");
-  }
-  return c;
-}
-
-LiveChaosCase ShrinkLiveChaosCase(LiveChaosCase c,
-                                  const LiveChaosPredicate& still_fails) {
+LiveChaosCase ShrinkLiveChaosCase(
+    LiveChaosCase c, const CasePredicate<LiveChaosCase>& still_fails) {
+  using C = LiveChaosCase;
   // Halve the workload first: every later probe re-runs the case (twice,
   // for the determinism audit), so a short horizon pays for the pass.
-  while (c.num_tasks > 1 &&
-         TryMutation(
-             c, [](LiveChaosCase& x) { x.num_tasks /= 2; }, still_fails)) {
-  }
+  HalveWhileFailing(c, &C::num_tasks, still_fails);
   // Drop whole fault dimensions, least-suspect first, so the surviving
   // config names the mechanism that matters.
-  TryMutation(
-      c,
-      [](LiveChaosCase& x) {
-        x.latency_spike_prob = 0.0;
-        x.mean_latency_spike = 0.0;
-      },
-      still_fails);
-  TryMutation(
-      c, [](LiveChaosCase& x) { x.fault.abort_rate = 0.0; }, still_fails);
-  TryMutation(
-      c,
-      [](LiveChaosCase& x) {
-        x.watchdog = false;
-        x.watchdog_stall_seconds = 0.0;
-      },
-      still_fails);
-  TryMutation(
-      c,
-      [](LiveChaosCase& x) {
-        x.fault.outage_rate = 0.0;
-        x.fault.mean_outage_duration = 0.0;
-      },
-      still_fails);
-  TryMutation(
-      c, [](LiveChaosCase& x) { x.fault.correlated_crash_prob = 0.0; },
-      still_fails);
-  TryMutation(
-      c,
-      [](LiveChaosCase& x) {
-        // Correlated mode cannot outlive the crash stream it rides on.
-        x.fault.crash_rate = 0.0;
-        x.fault.mean_repair_duration = 0.0;
-        x.fault.correlated_crash_prob = 0.0;
-      },
-      still_fails);
+  TryMutation(c, DropLatencySpikes, still_fails);
+  TryMutation(c, DropAborts, still_fails);
+  TryMutation(c, DropWatchdog, still_fails);
+  TryMutation(c, DropOutages, still_fails);
+  TryMutation(c, DropCorrelation, still_fails);
+  TryMutation(c, DropCrashes, still_fails);
   // Disable the reactive machinery.
   TryMutation(
       c,
-      [](LiveChaosCase& x) {
-        x.admission = LiveChaosCase::Admission::kNone;
+      [](C& x) {
+        x.admission = C::Admission::kNone;
         x.admission_max_ready = 0;
       },
       still_fails);
-  TryMutation(
-      c,
-      [](LiveChaosCase& x) {
-        x.retry_max_attempts = 1;
-        x.retry_backoff = 0.0;
-        x.retry_backoff_multiplier = 2.0;
-        x.retry_max_backoff = 0.0;
-        x.retry_budget = 0;
-      },
-      still_fails);
+  TryMutation(c, ResetRetries, still_fails);
   // Level the workload shape.
-  TryMutation(
-      c, [](LiveChaosCase& x) { x.timeout_prob = 0.0; }, still_fails);
-  TryMutation(c, [](LiveChaosCase& x) { x.dep_prob = 0.0; }, still_fails);
-  TryMutation(c, [](LiveChaosCase& x) { x.max_weight = 1; }, still_fails);
-  // Remove workers one at a time.
-  while (c.num_workers > 1 &&
-         TryMutation(
-             c, [](LiveChaosCase& x) { --x.num_workers; }, still_fails)) {
-  }
+  TryMutation(c, [](C& x) { x.timeout_prob = 0.0; }, still_fails);
+  TryMutation(c, [](C& x) { x.dep_prob = 0.0; }, still_fails);
+  TryMutation(c, [](C& x) { x.max_weight = 1; }, still_fails);
+  DecrementWhileFailing(c, &C::num_workers, still_fails);
   // The dropped dimensions may have freed slack for another round of
   // workload halving.
-  while (c.num_tasks > 1 &&
-         TryMutation(
-             c, [](LiveChaosCase& x) { x.num_tasks /= 2; }, still_fails)) {
-  }
+  HalveWhileFailing(c, &C::num_tasks, still_fails);
   return c;
 }
 
@@ -541,58 +301,6 @@ LiveChaosCase RandomLiveChaosCase(uint64_t master_seed, uint64_t index) {
     c.admission = LiveChaosCase::Admission::kBrownout;
   }
   return c;
-}
-
-Result<LiveChaosCampaignResult> RunLiveChaosCampaign(
-    const LiveChaosCampaignOptions& options) {
-  LiveChaosCampaignResult out;
-  for (size_t i = 0; i < options.num_cases; ++i) {
-    const LiveChaosCase c = RandomLiveChaosCase(options.master_seed, i);
-    WEBTX_ASSIGN_OR_RETURN(LiveChaosRun first, RunLiveChaosCase(c));
-    WEBTX_ASSIGN_OR_RETURN(LiveChaosRun second, RunLiveChaosCase(c));
-    out.total_crashes += first.stats.crashes;
-    out.total_stalls += first.stats.stalls;
-    out.total_migrations += first.stats.migrations;
-    out.total_forced_aborts += first.stats.forced_aborts;
-    out.total_retries += first.stats.retries_scheduled;
-    std::string verdict_text;
-    bool mismatch = false;
-    if (first.digest != second.digest) {
-      mismatch = true;
-      std::ostringstream os;
-      os << "determinism: trace digests differ across identical runs ("
-         << std::hex << first.digest << " vs " << second.digest << ")";
-      verdict_text = os.str();
-    } else {
-      const Status verdict = CheckLiveChaosInvariants(c, first);
-      if (!verdict.ok()) verdict_text = verdict.ToString();
-    }
-    ++out.cases_run;
-    if (options.progress) options.progress(i, verdict_text);
-    if (verdict_text.empty()) continue;
-    ++out.violations;
-    if (mismatch) ++out.determinism_mismatches;
-    if (out.violations > 1) continue;  // shrink only the first failure
-    out.first_violation = verdict_text;
-    const LiveChaosPredicate fails = [](const LiveChaosCase& x) {
-      const auto a = RunLiveChaosCase(x);
-      if (!a.ok()) return false;  // invalid shrink candidate
-      const auto b = RunLiveChaosCase(x);
-      if (!b.ok()) return false;
-      if (a.ValueOrDie().digest != b.ValueOrDie().digest) return true;
-      return !CheckLiveChaosInvariants(x, a.ValueOrDie()).ok();
-    };
-    out.first_reproducer = ShrinkLiveChaosCase(c, fails);
-    if (!options.reproducer_path.empty()) {
-      std::ofstream file(options.reproducer_path);
-      file << SerializeLiveChaosCase(out.first_reproducer);
-      if (!file.good()) {
-        return Status::IOError("cannot write reproducer to " +
-                               options.reproducer_path);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace webtx

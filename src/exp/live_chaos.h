@@ -1,12 +1,13 @@
 #ifndef WEBTX_EXP_LIVE_CHAOS_H_
 #define WEBTX_EXP_LIVE_CHAOS_H_
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "exp/campaign.h"
 #include "rt/executor.h"
 #include "rt/live_trace.h"
 #include "rt/live_validator.h"
@@ -79,7 +80,8 @@ struct LiveChaosRun {
 /// Executes one case to quiescence under a fresh VirtualClock (the
 /// caller thread drives submissions at the drawn arrival instants as a
 /// registered clock participant) and returns the run record. Fails on
-/// invalid case parameters (bad policy spec, bad fault config, ...).
+/// invalid case parameters (bad policy spec, bad fault config, zero
+/// max_weight, ...).
 Result<LiveChaosRun> RunLiveChaosCase(const LiveChaosCase& c);
 
 /// Audits a run against the live crash-era invariants
@@ -87,59 +89,45 @@ Result<LiveChaosRun> RunLiveChaosCase(const LiveChaosCase& c);
 Status CheckLiveChaosInvariants(const LiveChaosCase& c,
                                 const LiveChaosRun& run);
 
-/// Replay file round-trip: "key value" lines under a versioned header.
-/// Unknown keys are an error (a replay must not silently lose a knob).
-std::string SerializeLiveChaosCase(const LiveChaosCase& c);
-Result<LiveChaosCase> ParseLiveChaosReplay(const std::string& text);
-
-/// True when the (shrunk) case still exhibits the failure being chased.
-using LiveChaosPredicate = std::function<bool(const LiveChaosCase&)>;
-
 /// Greedy shrink: repeatedly simplifies `c` (fewer tasks, dropped fault
 /// streams, disabled reactive machinery, fewer workers) keeping only
 /// mutations under which `still_fails` holds.
-LiveChaosCase ShrinkLiveChaosCase(LiveChaosCase c,
-                                  const LiveChaosPredicate& still_fails);
+LiveChaosCase ShrinkLiveChaosCase(
+    LiveChaosCase c, const CasePredicate<LiveChaosCase>& still_fails);
 
 /// The `index`-th case of a campaign, derived deterministically from
 /// `master_seed` (biased toward crash streams — the point of the
 /// harness).
 LiveChaosCase RandomLiveChaosCase(uint64_t master_seed, uint64_t index);
 
-struct LiveChaosCampaignOptions {
-  uint64_t master_seed = 1;
-  size_t num_cases = 100;
-  /// When non-empty, the shrunk reproducer of the first failure is
-  /// written here as a replay file.
-  std::string reproducer_path;
-  /// Progress hook: case index and its verdict ("" = passed).
-  std::function<void(size_t, const std::string&)> progress;
+/// The live-executor campaign domain (exp/campaign.h): every case runs
+/// twice, the two trace digests must match, and the first run must pass
+/// the live validator.
+struct LiveChaos {
+  using Case = LiveChaosCase;
+  using Run = LiveChaosRun;
+  static constexpr char kHeader[] = "webtx-live-chaos-replay v1";
+  static constexpr char kMode[] = "live";
+  static constexpr char kDigestName[] = "trace";
+  static constexpr size_t kDefaultCases = 200;
+  static constexpr bool kRunTwice = true;
+  static constexpr std::array<const char*, 6> kTallies = {
+      "nondeterministic", "total_crashes", "total_stalls",
+      "total_migrations", "total_aborts",  "total_retries"};
+  static ReplayFields<LiveChaosCase> Fields();
+  static constexpr auto Random = &RandomLiveChaosCase;
+  static constexpr auto Execute = &RunLiveChaosCase;
+  static uint64_t Digest(const LiveChaosRun& run) { return run.digest; }
+  static constexpr auto Check = &CheckLiveChaosInvariants;
+  static constexpr auto Shrink = &ShrinkLiveChaosCase;
+  static void Tally(const LiveChaosRun& run, Tallies& t) {
+    t["total_crashes"] += run.stats.crashes;
+    t["total_stalls"] += run.stats.stalls;
+    t["total_migrations"] += run.stats.migrations;
+    t["total_aborts"] += run.stats.forced_aborts;
+    t["total_retries"] += run.stats.retries_scheduled;
+  }
 };
-
-struct LiveChaosCampaignResult {
-  size_t cases_run = 0;
-  /// Validator-failing cases (including determinism mismatches).
-  size_t violations = 0;
-  /// Cases whose two runs produced different trace digests — the
-  /// determinism contract broke (counted in `violations` too).
-  size_t determinism_mismatches = 0;
-  std::string first_violation;
-  LiveChaosCase first_reproducer;
-  // Aggregate fault exposure, to prove the campaign exercised faults.
-  size_t total_crashes = 0;
-  size_t total_stalls = 0;
-  size_t total_migrations = 0;
-  size_t total_forced_aborts = 0;
-  size_t total_retries = 0;
-};
-
-/// Runs `num_cases` random cases. Every case is executed TWICE: the two
-/// digests must match (determinism audit) and the first run must pass
-/// the live validator. The first failing case is shrunk and (optionally)
-/// written as a reproducer. Fails only on harness errors; validator
-/// violations are reported in the result.
-Result<LiveChaosCampaignResult> RunLiveChaosCampaign(
-    const LiveChaosCampaignOptions& options);
 
 }  // namespace webtx
 

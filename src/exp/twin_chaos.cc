@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <utility>
 
@@ -15,58 +12,12 @@ namespace webtx {
 
 namespace {
 
-constexpr char kReplayHeader[] = "webtx-twin-replay v1";
-
 // DeriveSeed coordinates of the twin harness's own seed streams
 // (arbitrary but fixed; reproducers depend on them). Distinct from the
 // sim and live chaos streams so the campaigns never alias.
 constexpr uint64_t kTwinCaseStream = 0x7714CA5Eull;
 constexpr uint64_t kTwinFaultStream = 0x7714FA17ull;
 constexpr uint64_t kTwinForecastStream = 0x7714F05Eull;
-
-std::string FormatDouble(double d) {
-  std::ostringstream os;
-  os << std::setprecision(17) << d;
-  return os.str();
-}
-
-bool ParseU64(const std::string& text, uint64_t* out) {
-  std::istringstream is(text);
-  is >> *out;
-  return !is.fail() && is.eof();
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  std::istringstream is(text);
-  is >> *out;
-  return !is.fail() && is.eof();
-}
-
-const char* AdmissionName(rt::TwinCandidate::Admission a) {
-  switch (a) {
-    case rt::TwinCandidate::Admission::kNone:
-      return "none";
-    case rt::TwinCandidate::Admission::kQueueDepth:
-      return "depth";
-    case rt::TwinCandidate::Admission::kBrownout:
-      return "brownout";
-  }
-  return "?";
-}
-
-// Applies `mutate` to a copy; commits it iff the failure still
-// reproduces. Returns whether the simplification was kept.
-template <typename Mutation>
-bool TryMutation(TwinChaosCase& c, Mutation mutate,
-                 const TwinChaosPredicate& still_fails) {
-  TwinChaosCase candidate = c;
-  mutate(candidate);
-  if (!still_fails(candidate)) return false;
-  c = std::move(candidate);
-  return true;
-}
-
-}  // namespace
 
 rt::TwinOptions TwinOptionsFor(const TwinChaosCase& c) {
   rt::TwinOptions options;
@@ -104,9 +55,11 @@ rt::TwinOptions TwinOptionsFor(const TwinChaosCase& c) {
   return options;
 }
 
+}  // namespace
+
 Result<rt::TwinReport> RunTwinChaosCase(const TwinChaosCase& c) {
-  if (c.num_tasks == 0) {
-    return Status::InvalidArgument("twin chaos case has no tasks");
+  if (c.num_tasks == 0 || c.max_weight == 0) {
+    return Status::InvalidArgument("num_tasks and max_weight must be >= 1");
   }
   if (!(c.rate > 0.0) || !(c.mean_duration > 0.0)) {
     return Status::InvalidArgument("rate and mean_duration must be > 0");
@@ -198,337 +151,121 @@ Status CheckTwinChaosInvariants(const TwinChaosCase& c,
     violations.push_back("fallback counter disagrees with the decision log");
   }
 
-  if (violations.empty()) return Status();
-  std::ostringstream os;
-  os << violations.size() << " twin invariant violation(s):";
-  const size_t show = std::min<size_t>(violations.size(), 3);
-  for (size_t i = 0; i < show; ++i) os << " [" << violations[i] << "]";
-  return Status::InvalidArgument(os.str());
+  return InvariantViolations("twin", violations);
 }
 
-std::string SerializeTwinChaosCase(const TwinChaosCase& c) {
-  std::ostringstream os;
-  os << kReplayHeader << "\n";
-  os << "shape " << LiveArrivalShapeName(c.shape) << "\n";
-  os << "workload_seed " << c.workload_seed << "\n";
-  os << "num_tasks " << c.num_tasks << "\n";
-  os << "rate " << FormatDouble(c.rate) << "\n";
-  os << "burstiness " << FormatDouble(c.burstiness) << "\n";
-  os << "on_off_mean_cycle " << FormatDouble(c.on_off_mean_cycle) << "\n";
-  os << "spike_factor " << FormatDouble(c.spike_factor) << "\n";
-  os << "spike_start " << FormatDouble(c.spike_start) << "\n";
-  os << "spike_duration " << FormatDouble(c.spike_duration) << "\n";
-  os << "mean_duration " << FormatDouble(c.mean_duration) << "\n";
-  os << "deadline_slack " << FormatDouble(c.deadline_slack) << "\n";
-  os << "max_weight " << c.max_weight << "\n";
-  for (const rt::TwinCandidate& cand : c.candidates) {
-    os << "candidate " << cand.policy << " " << AdmissionName(cand.admission)
-       << " " << cand.max_ready << " " << FormatDouble(cand.capacity_slo)
-       << "\n";
-  }
-  os << "static_index " << c.static_index << "\n";
-  os << "controller_enabled " << (c.controller_enabled ? 1 : 0) << "\n";
-  os << "control_interval " << FormatDouble(c.control_interval) << "\n";
-  os << "forecast_horizon " << FormatDouble(c.forecast_horizon) << "\n";
-  os << "switch_margin " << FormatDouble(c.switch_margin) << "\n";
-  os << "dwell_ticks " << c.dwell_ticks << "\n";
-  os << "shed_penalty " << FormatDouble(c.shed_penalty) << "\n";
-  os << "divergence_tolerance " << FormatDouble(c.divergence_tolerance)
-     << "\n";
-  os << "divergence_abs_floor " << FormatDouble(c.divergence_abs_floor)
-     << "\n";
-  os << "shed_divergence " << FormatDouble(c.shed_divergence) << "\n";
-  os << "guard_strikes " << c.guard_strikes << "\n";
-  os << "guard_cooldown_ticks " << c.guard_cooldown_ticks << "\n";
-  os << "forecast_seed " << c.forecast_seed << "\n";
-  os << "snapshot_corruption " << FormatDouble(c.snapshot_corruption) << "\n";
-  os << "forecast_threads " << c.forecast_threads << "\n";
-  os << "pooled_forecasts " << (c.pooled_forecasts ? 1 : 0) << "\n";
-  os << "prune " << (c.prune ? 1 : 0) << "\n";
-  os << "prune_prefix " << FormatDouble(c.prune_prefix) << "\n";
-  os << "num_workers " << c.num_workers << "\n";
-  os << "outage_rate " << FormatDouble(c.fault.outage_rate) << "\n";
-  os << "mean_outage_duration " << FormatDouble(c.fault.mean_outage_duration)
-     << "\n";
-  os << "abort_rate " << FormatDouble(c.fault.abort_rate) << "\n";
-  os << "crash_rate " << FormatDouble(c.fault.crash_rate) << "\n";
-  os << "mean_repair_duration " << FormatDouble(c.fault.mean_repair_duration)
-     << "\n";
-  os << "migration " << MigrationPolicyName(c.fault.migration) << "\n";
-  os << "correlated_crash_prob " << FormatDouble(c.fault.correlated_crash_prob)
-     << "\n";
-  os << "fault_seed " << c.fault.seed << "\n";
-  os << "latency_spike_prob " << FormatDouble(c.latency_spike_prob) << "\n";
-  os << "mean_latency_spike " << FormatDouble(c.mean_latency_spike) << "\n";
-  os << "retry_max_attempts " << c.retry_max_attempts << "\n";
-  os << "retry_backoff " << FormatDouble(c.retry_backoff) << "\n";
-  os << "retry_backoff_multiplier "
-     << FormatDouble(c.retry_backoff_multiplier) << "\n";
-  os << "retry_max_backoff " << FormatDouble(c.retry_max_backoff) << "\n";
-  os << "retry_budget " << c.retry_budget << "\n";
-  os << "watchdog " << (c.watchdog ? 1 : 0) << "\n";
-  os << "watchdog_stall_seconds " << FormatDouble(c.watchdog_stall_seconds)
-     << "\n";
-  return os.str();
+ReplayFields<TwinChaosCase> TwinChaos::Fields() {
+  using C = TwinChaosCase;
+  using Admission = rt::TwinCandidate::Admission;
+  const EnumNames<Admission> admissions = {
+      {Admission::kNone, "none"},
+      {Admission::kQueueDepth, "depth"},
+      {Admission::kBrownout, "brownout"}};
+  ReplayFields<C> f = {
+      Field("shape", &C::shape,
+            EnumNames<LiveArrivalShape>{
+                {LiveArrivalShape::kPoisson, "poisson"},
+                {LiveArrivalShape::kOnOff, "onoff"},
+                {LiveArrivalShape::kFlashCrowd, "flash"}}),
+      Field("workload_seed", &C::workload_seed),
+      Field("num_tasks", &C::num_tasks),
+      Field("rate", &C::rate),
+      Field("burstiness", &C::burstiness),
+      Field("on_off_mean_cycle", &C::on_off_mean_cycle),
+      Field("spike_factor", &C::spike_factor),
+      Field("spike_start", &C::spike_start),
+      Field("spike_duration", &C::spike_duration),
+      Field("mean_duration", &C::mean_duration),
+      Field("deadline_slack", &C::deadline_slack),
+      Field("max_weight", &C::max_weight),
+      RepeatedField(
+          "candidate", &C::candidates,
+          [admissions](const rt::TwinCandidate& cand) {
+            return cand.policy + ' ' +
+                   FormatValue(cand.admission, admissions) + ' ' +
+                   FormatValue(cand.max_ready) + ' ' +
+                   FormatValue(cand.capacity_slo);
+          },
+          [admissions](const std::string& value, rt::TwinCandidate* cand) {
+            std::vector<std::string> tokens;
+            if (!SplitValue(value, 4, &tokens)) return false;
+            cand->policy = tokens[0];
+            return ParseValue(tokens[1], &cand->admission, admissions) &&
+                   ParseValue(tokens[2], &cand->max_ready) &&
+                   ParseValue(tokens[3], &cand->capacity_slo);
+          }),
+      Field("static_index", &C::static_index),
+      Field("controller_enabled", &C::controller_enabled),
+      Field("control_interval", &C::control_interval),
+      Field("forecast_horizon", &C::forecast_horizon),
+      Field("switch_margin", &C::switch_margin),
+      Field("dwell_ticks", &C::dwell_ticks),
+      Field("shed_penalty", &C::shed_penalty),
+      Field("divergence_tolerance", &C::divergence_tolerance),
+      Field("divergence_abs_floor", &C::divergence_abs_floor),
+      Field("shed_divergence", &C::shed_divergence),
+      Field("guard_strikes", &C::guard_strikes),
+      Field("guard_cooldown_ticks", &C::guard_cooldown_ticks),
+      Field("forecast_seed", &C::forecast_seed),
+      Field("snapshot_corruption", &C::snapshot_corruption),
+      Field("forecast_threads", &C::forecast_threads),
+      Field("pooled_forecasts", &C::pooled_forecasts),
+      Field("prune", &C::prune),
+      Field("prune_prefix", &C::prune_prefix),
+      Field("num_workers", &C::num_workers)};
+  AppendFields(f, &C::fault, FaultFields());
+  AppendExecutorFields(f, {});
+  return f;
 }
 
-Result<TwinChaosCase> ParseTwinChaosReplay(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  bool saw_header = false;
-  TwinChaosCase c;
-  c.candidates.clear();
-  size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    if (!saw_header) {
-      if (line != kReplayHeader) {
-        return Status::InvalidArgument("not a twin replay file: expected '" +
-                                       std::string(kReplayHeader) +
-                                       "', got '" + line + "'");
-      }
-      saw_header = true;
-      continue;
-    }
-    const size_t space = line.find(' ');
-    if (space == std::string::npos) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": expected 'key value', got '" + line +
-                                     "'");
-    }
-    const std::string key = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
-    const auto bad = [&] {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": bad value for " + key + ": '" +
-                                     value + "'");
-    };
-    uint64_t u = 0;
-    if (key == "shape") {
-      if (value == "poisson") {
-        c.shape = LiveArrivalShape::kPoisson;
-      } else if (value == "onoff") {
-        c.shape = LiveArrivalShape::kOnOff;
-      } else if (value == "flash") {
-        c.shape = LiveArrivalShape::kFlashCrowd;
-      } else {
-        return bad();
-      }
-    } else if (key == "workload_seed") {
-      if (!ParseU64(value, &c.workload_seed)) return bad();
-    } else if (key == "num_tasks") {
-      if (!ParseU64(value, &u)) return bad();
-      c.num_tasks = u;
-    } else if (key == "rate") {
-      if (!ParseDouble(value, &c.rate)) return bad();
-    } else if (key == "burstiness") {
-      if (!ParseDouble(value, &c.burstiness)) return bad();
-    } else if (key == "on_off_mean_cycle") {
-      if (!ParseDouble(value, &c.on_off_mean_cycle)) return bad();
-    } else if (key == "spike_factor") {
-      if (!ParseDouble(value, &c.spike_factor)) return bad();
-    } else if (key == "spike_start") {
-      if (!ParseDouble(value, &c.spike_start)) return bad();
-    } else if (key == "spike_duration") {
-      if (!ParseDouble(value, &c.spike_duration)) return bad();
-    } else if (key == "mean_duration") {
-      if (!ParseDouble(value, &c.mean_duration)) return bad();
-    } else if (key == "deadline_slack") {
-      if (!ParseDouble(value, &c.deadline_slack)) return bad();
-    } else if (key == "max_weight") {
-      if (!ParseU64(value, &c.max_weight)) return bad();
-    } else if (key == "candidate") {
-      std::istringstream fields(value);
-      rt::TwinCandidate cand;
-      std::string admission;
-      uint64_t max_ready = 0;
-      if (!(fields >> cand.policy >> admission >> max_ready >>
-            cand.capacity_slo) ||
-          !fields.eof()) {
-        return bad();
-      }
-      cand.max_ready = max_ready;
-      if (admission == "none") {
-        cand.admission = rt::TwinCandidate::Admission::kNone;
-      } else if (admission == "depth") {
-        cand.admission = rt::TwinCandidate::Admission::kQueueDepth;
-      } else if (admission == "brownout") {
-        cand.admission = rt::TwinCandidate::Admission::kBrownout;
-      } else {
-        return bad();
-      }
-      c.candidates.push_back(std::move(cand));
-    } else if (key == "static_index") {
-      if (!ParseU64(value, &u)) return bad();
-      c.static_index = u;
-    } else if (key == "controller_enabled") {
-      if (!ParseU64(value, &u) || u > 1) return bad();
-      c.controller_enabled = u == 1;
-    } else if (key == "control_interval") {
-      if (!ParseDouble(value, &c.control_interval)) return bad();
-    } else if (key == "forecast_horizon") {
-      if (!ParseDouble(value, &c.forecast_horizon)) return bad();
-    } else if (key == "switch_margin") {
-      if (!ParseDouble(value, &c.switch_margin)) return bad();
-    } else if (key == "dwell_ticks") {
-      if (!ParseU64(value, &u)) return bad();
-      c.dwell_ticks = u;
-    } else if (key == "shed_penalty") {
-      if (!ParseDouble(value, &c.shed_penalty)) return bad();
-    } else if (key == "divergence_tolerance") {
-      if (!ParseDouble(value, &c.divergence_tolerance)) return bad();
-    } else if (key == "divergence_abs_floor") {
-      if (!ParseDouble(value, &c.divergence_abs_floor)) return bad();
-    } else if (key == "shed_divergence") {
-      if (!ParseDouble(value, &c.shed_divergence)) return bad();
-    } else if (key == "guard_strikes") {
-      if (!ParseU64(value, &u)) return bad();
-      c.guard_strikes = u;
-    } else if (key == "guard_cooldown_ticks") {
-      if (!ParseU64(value, &u)) return bad();
-      c.guard_cooldown_ticks = u;
-    } else if (key == "forecast_seed") {
-      if (!ParseU64(value, &c.forecast_seed)) return bad();
-    } else if (key == "snapshot_corruption") {
-      if (!ParseDouble(value, &c.snapshot_corruption)) return bad();
-    } else if (key == "forecast_threads") {
-      if (!ParseU64(value, &u)) return bad();
-      c.forecast_threads = u;
-    } else if (key == "pooled_forecasts") {
-      if (!ParseU64(value, &u) || u > 1) return bad();
-      c.pooled_forecasts = u == 1;
-    } else if (key == "prune") {
-      if (!ParseU64(value, &u) || u > 1) return bad();
-      c.prune = u == 1;
-    } else if (key == "prune_prefix") {
-      if (!ParseDouble(value, &c.prune_prefix)) return bad();
-    } else if (key == "num_workers") {
-      if (!ParseU64(value, &u)) return bad();
-      c.num_workers = u;
-    } else if (key == "outage_rate") {
-      if (!ParseDouble(value, &c.fault.outage_rate)) return bad();
-    } else if (key == "mean_outage_duration") {
-      if (!ParseDouble(value, &c.fault.mean_outage_duration)) return bad();
-    } else if (key == "abort_rate") {
-      if (!ParseDouble(value, &c.fault.abort_rate)) return bad();
-    } else if (key == "crash_rate") {
-      if (!ParseDouble(value, &c.fault.crash_rate)) return bad();
-    } else if (key == "mean_repair_duration") {
-      if (!ParseDouble(value, &c.fault.mean_repair_duration)) return bad();
-    } else if (key == "migration") {
-      if (value == "warm") {
-        c.fault.migration = MigrationPolicy::kWarm;
-      } else if (value == "cold") {
-        c.fault.migration = MigrationPolicy::kCold;
-      } else {
-        return bad();
-      }
-    } else if (key == "correlated_crash_prob") {
-      if (!ParseDouble(value, &c.fault.correlated_crash_prob)) return bad();
-    } else if (key == "fault_seed") {
-      if (!ParseU64(value, &c.fault.seed)) return bad();
-    } else if (key == "latency_spike_prob") {
-      if (!ParseDouble(value, &c.latency_spike_prob)) return bad();
-    } else if (key == "mean_latency_spike") {
-      if (!ParseDouble(value, &c.mean_latency_spike)) return bad();
-    } else if (key == "retry_max_attempts") {
-      if (!ParseU64(value, &u)) return bad();
-      c.retry_max_attempts = static_cast<uint32_t>(u);
-    } else if (key == "retry_backoff") {
-      if (!ParseDouble(value, &c.retry_backoff)) return bad();
-    } else if (key == "retry_backoff_multiplier") {
-      if (!ParseDouble(value, &c.retry_backoff_multiplier)) return bad();
-    } else if (key == "retry_max_backoff") {
-      if (!ParseDouble(value, &c.retry_max_backoff)) return bad();
-    } else if (key == "retry_budget") {
-      if (!ParseU64(value, &u)) return bad();
-      c.retry_budget = u;
-    } else if (key == "watchdog") {
-      if (!ParseU64(value, &u) || u > 1) return bad();
-      c.watchdog = u == 1;
-    } else if (key == "watchdog_stall_seconds") {
-      if (!ParseDouble(value, &c.watchdog_stall_seconds)) return bad();
-    } else {
-      // A replay must not silently lose a knob it doesn't understand.
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": unknown key '" + key + "'");
-    }
+Result<std::string> TwinChaos::Sweep(const TwinChaosCase& c, uint64_t digest,
+                                     Tallies& tallies) {
+  if (!c.controller_enabled) return std::string();
+  std::vector<TwinChaosCase> variants(3, c);
+  variants[0].forecast_threads = c.forecast_threads == 1 ? 2 : 1;
+  variants[1].forecast_threads = c.forecast_threads == 8 ? 2 : 8;
+  variants[2].pooled_forecasts = !c.pooled_forecasts;
+  for (const TwinChaosCase& v : variants) {
+    WEBTX_ASSIGN_OR_RETURN(const rt::TwinReport swept, RunTwinChaosCase(v));
+    if (swept.digest == digest) continue;
+    ++tallies["thread_mismatch"];
+    std::ostringstream os;
+    os << "neutrality: "
+       << (v.pooled_forecasts == c.pooled_forecasts
+               ? "forecast_threads=" + FormatValue(v.forecast_threads)
+               : "pooled_forecasts=" + FormatValue(v.pooled_forecasts))
+       << " changed the twin digest (" << std::hex << digest << " vs "
+       << swept.digest << ")";
+    return os.str();
   }
-  if (!saw_header) {
-    return Status::InvalidArgument("empty replay file (no header)");
-  }
-  if (c.candidates.empty()) {
-    return Status::InvalidArgument("twin replay has no candidate lines");
-  }
-  return c;
+  return std::string();
 }
 
-TwinChaosCase ShrinkTwinChaosCase(TwinChaosCase c,
-                                  const TwinChaosPredicate& still_fails) {
+TwinChaosCase ShrinkTwinChaosCase(
+    TwinChaosCase c, const CasePredicate<TwinChaosCase>& still_fails) {
+  using C = TwinChaosCase;
   // Halve the workload first: every later probe re-runs the case (twice,
   // for the determinism audit), so a short horizon pays for the pass.
-  while (c.num_tasks > 1 &&
-         TryMutation(
-             c, [](TwinChaosCase& x) { x.num_tasks /= 2; }, still_fails)) {
-  }
+  HalveWhileFailing(c, &C::num_tasks, still_fails);
   // Drop fault dimensions, least-suspect first.
-  TryMutation(
-      c,
-      [](TwinChaosCase& x) {
-        x.latency_spike_prob = 0.0;
-        x.mean_latency_spike = 0.0;
-      },
-      still_fails);
-  TryMutation(
-      c, [](TwinChaosCase& x) { x.fault.abort_rate = 0.0; }, still_fails);
-  TryMutation(
-      c,
-      [](TwinChaosCase& x) {
-        x.watchdog = false;
-        x.watchdog_stall_seconds = 0.0;
-      },
-      still_fails);
-  TryMutation(
-      c,
-      [](TwinChaosCase& x) {
-        x.fault.outage_rate = 0.0;
-        x.fault.mean_outage_duration = 0.0;
-      },
-      still_fails);
-  TryMutation(
-      c,
-      [](TwinChaosCase& x) {
-        x.fault.crash_rate = 0.0;
-        x.fault.mean_repair_duration = 0.0;
-        x.fault.correlated_crash_prob = 0.0;
-      },
-      still_fails);
-  TryMutation(
-      c,
-      [](TwinChaosCase& x) {
-        x.retry_max_attempts = 1;
-        x.retry_backoff = 0.0;
-        x.retry_backoff_multiplier = 2.0;
-        x.retry_max_backoff = 0.0;
-        x.retry_budget = 0;
-      },
-      still_fails);
+  TryMutation(c, DropLatencySpikes, still_fails);
+  TryMutation(c, DropAborts, still_fails);
+  TryMutation(c, DropWatchdog, still_fails);
+  TryMutation(c, DropOutages, still_fails);
+  TryMutation(c, DropCrashes, still_fails);
+  TryMutation(c, ResetRetries, still_fails);
   // Make the model honest and the workload plain.
+  TryMutation(c, [](C& x) { x.snapshot_corruption = 1.0; }, still_fails);
   TryMutation(
-      c, [](TwinChaosCase& x) { x.snapshot_corruption = 1.0; }, still_fails);
-  TryMutation(
-      c, [](TwinChaosCase& x) { x.shape = LiveArrivalShape::kPoisson; },
-      still_fails);
-  TryMutation(c, [](TwinChaosCase& x) { x.max_weight = 1; }, still_fails);
+      c, [](C& x) { x.shape = LiveArrivalShape::kPoisson; }, still_fails);
+  TryMutation(c, [](C& x) { x.max_weight = 1; }, still_fails);
   // Shrink the candidate table from the back (never dropping the static
   // config); with one candidate left, try disabling the controller
   // outright.
   while (c.candidates.size() > 1 &&
          TryMutation(
              c,
-             [](TwinChaosCase& x) {
+             [](C& x) {
                const size_t victim = x.candidates.size() - 1;
                if (victim == x.static_index) {
                  std::swap(x.candidates[victim],
@@ -540,17 +277,10 @@ TwinChaosCase ShrinkTwinChaosCase(TwinChaosCase c,
              },
              still_fails)) {
   }
-  TryMutation(
-      c, [](TwinChaosCase& x) { x.controller_enabled = false; }, still_fails);
+  TryMutation(c, [](C& x) { x.controller_enabled = false; }, still_fails);
   // Remove workers one at a time, then retry the workload halving.
-  while (c.num_workers > 1 &&
-         TryMutation(
-             c, [](TwinChaosCase& x) { --x.num_workers; }, still_fails)) {
-  }
-  while (c.num_tasks > 1 &&
-         TryMutation(
-             c, [](TwinChaosCase& x) { x.num_tasks /= 2; }, still_fails)) {
-  }
+  DecrementWhileFailing(c, &C::num_workers, still_fails);
+  HalveWhileFailing(c, &C::num_tasks, still_fails);
   return c;
 }
 
@@ -670,107 +400,6 @@ TwinChaosCase RandomTwinChaosCase(uint64_t master_seed, uint64_t index) {
     c.prune_prefix = 0.3 + 0.5 * rng.NextDouble();
   }
   return c;
-}
-
-Result<TwinChaosCampaignResult> RunTwinChaosCampaign(
-    const TwinChaosCampaignOptions& options) {
-  TwinChaosCampaignResult out;
-  for (size_t i = 0; i < options.num_cases; ++i) {
-    const TwinChaosCase c = RandomTwinChaosCase(options.master_seed, i);
-    WEBTX_ASSIGN_OR_RETURN(rt::TwinReport first, RunTwinChaosCase(c));
-    WEBTX_ASSIGN_OR_RETURN(rt::TwinReport second, RunTwinChaosCase(c));
-    out.total_decisions += first.decisions.size();
-    out.total_switches += first.switches;
-    out.total_fallbacks += first.fallbacks;
-    out.total_crashes += first.stats.crashes;
-    out.total_migrations += first.stats.migrations;
-    std::string verdict_text;
-    bool mismatch = false;
-    bool neutrality_broke = false;
-    if (first.digest != second.digest) {
-      mismatch = true;
-      std::ostringstream os;
-      os << "determinism: twin digests differ across identical runs ("
-         << std::hex << first.digest << " vs " << second.digest << ")";
-      verdict_text = os.str();
-    } else {
-      const Status verdict = CheckTwinChaosInvariants(c, first);
-      if (!verdict.ok()) verdict_text = verdict.ToString();
-    }
-    if (verdict_text.empty() && c.controller_enabled) {
-      // Digest-neutrality sweep: the forecast-execution knobs may only
-      // change how fast the controller decides, never what it decides.
-      // Re-run the case across forecast_threads 1/2/8 and with pooling
-      // toggled; every digest must match the baseline.
-      for (int variant_idx = 0; variant_idx < 3; ++variant_idx) {
-        TwinChaosCase variant = c;
-        std::string dim;
-        if (variant_idx < 2) {
-          const size_t threads[] = {c.forecast_threads == 1 ? 2u : 1u,
-                                    c.forecast_threads == 8 ? 2u : 8u};
-          variant.forecast_threads = threads[variant_idx];
-          dim = "forecast_threads=" + std::to_string(variant.forecast_threads);
-        } else {
-          variant.pooled_forecasts = !c.pooled_forecasts;
-          dim = variant.pooled_forecasts ? "pooled_forecasts=1"
-                                         : "pooled_forecasts=0";
-        }
-        WEBTX_ASSIGN_OR_RETURN(rt::TwinReport swept, RunTwinChaosCase(variant));
-        if (swept.digest != first.digest) {
-          neutrality_broke = true;
-          std::ostringstream os;
-          os << "neutrality: " << dim << " changed the twin digest ("
-             << std::hex << first.digest << " vs " << swept.digest << ")";
-          verdict_text = os.str();
-          break;
-        }
-      }
-    }
-    ++out.cases_run;
-    if (options.progress) options.progress(i, verdict_text);
-    if (verdict_text.empty()) continue;
-    ++out.violations;
-    if (mismatch) ++out.determinism_mismatches;
-    if (neutrality_broke) ++out.neutrality_mismatches;
-    if (out.violations > 1) continue;  // shrink only the first failure
-    out.first_violation = verdict_text;
-    const bool check_neutrality = neutrality_broke;
-    const TwinChaosPredicate fails = [check_neutrality](
-                                         const TwinChaosCase& x) {
-      const auto a = RunTwinChaosCase(x);
-      if (!a.ok()) return false;  // invalid shrink candidate
-      const auto b = RunTwinChaosCase(x);
-      if (!b.ok()) return false;
-      if (a.ValueOrDie().digest != b.ValueOrDie().digest) return true;
-      if (check_neutrality && x.controller_enabled) {
-        for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-          TwinChaosCase v = x;
-          v.forecast_threads = threads;
-          const auto r = RunTwinChaosCase(v);
-          if (r.ok() && r.ValueOrDie().digest != a.ValueOrDie().digest) {
-            return true;
-          }
-        }
-        TwinChaosCase v = x;
-        v.pooled_forecasts = !x.pooled_forecasts;
-        const auto r = RunTwinChaosCase(v);
-        if (r.ok() && r.ValueOrDie().digest != a.ValueOrDie().digest) {
-          return true;
-        }
-      }
-      return !CheckTwinChaosInvariants(x, a.ValueOrDie()).ok();
-    };
-    out.first_reproducer = ShrinkTwinChaosCase(c, fails);
-    if (!options.reproducer_path.empty()) {
-      std::ofstream file(options.reproducer_path);
-      file << SerializeTwinChaosCase(out.first_reproducer);
-      if (!file.good()) {
-        return Status::IOError("cannot write reproducer to " +
-                               options.reproducer_path);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace webtx

@@ -1,12 +1,13 @@
 #ifndef WEBTX_EXP_TWIN_CHAOS_H_
 #define WEBTX_EXP_TWIN_CHAOS_H_
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "exp/campaign.h"
 #include "rt/twin.h"
 #include "sim/fault_plan.h"
 #include "workload/live_arrivals.h"
@@ -75,11 +76,9 @@ struct TwinChaosCase {
   double watchdog_stall_seconds = 0.0;
 };
 
-/// Maps a case onto the twin's option struct (exposed so tools and
-/// benches configure runs the exact way the campaign does).
-rt::TwinOptions TwinOptionsFor(const TwinChaosCase& c);
-
 /// Executes one case to quiescence and returns the twin's full report.
+/// Fails (InvalidArgument) on nonsensical parameters such as zero tasks,
+/// a non-positive rate, a zero max_weight or an empty candidate table.
 Result<rt::TwinReport> RunTwinChaosCase(const TwinChaosCase& c);
 
 /// Audits a run: the live-trace invariants (rt/live_validator.h) plus
@@ -90,65 +89,54 @@ Result<rt::TwinReport> RunTwinChaosCase(const TwinChaosCase& c);
 Status CheckTwinChaosInvariants(const TwinChaosCase& c,
                                 const rt::TwinReport& report);
 
-/// Replay file round-trip: "key value" lines under a versioned header.
-/// Candidates serialize as repeated `candidate <policy> <admission>
-/// <max_ready> <capacity_slo>` lines in table order. Unknown keys are
-/// an error (a replay must not silently lose a knob).
-std::string SerializeTwinChaosCase(const TwinChaosCase& c);
-Result<TwinChaosCase> ParseTwinChaosReplay(const std::string& text);
-
-/// True when the (shrunk) case still exhibits the failure being chased.
-using TwinChaosPredicate = std::function<bool(const TwinChaosCase&)>;
-
 /// Greedy shrink: fewer tasks, dropped fault streams, an honest model,
 /// a smaller candidate table, fewer workers — keeping only mutations
 /// under which `still_fails` holds.
-TwinChaosCase ShrinkTwinChaosCase(TwinChaosCase c,
-                                  const TwinChaosPredicate& still_fails);
+TwinChaosCase ShrinkTwinChaosCase(
+    TwinChaosCase c, const CasePredicate<TwinChaosCase>& still_fails);
 
 /// The `index`-th case of a campaign, derived deterministically from
 /// `master_seed` (biased toward flash crowds and occasional corrupted
 /// models — the guard is the point of the harness).
 TwinChaosCase RandomTwinChaosCase(uint64_t master_seed, uint64_t index);
 
-struct TwinChaosCampaignOptions {
-  uint64_t master_seed = 1;
-  size_t num_cases = 50;
-  /// When non-empty, the shrunk reproducer of the first failure is
-  /// written here as a replay file.
-  std::string reproducer_path;
-  /// Progress hook: case index and its verdict ("" = passed).
-  std::function<void(size_t, const std::string&)> progress;
+/// The digital-twin campaign domain (exp/campaign.h): every case runs
+/// twice (the digest covers the trace AND the decision log). Replays
+/// carry the candidate table as `candidate <policy> <admission>
+/// <max_ready> <capacity_slo>` lines in table order.
+struct TwinChaos {
+  using Case = TwinChaosCase;
+  using Run = rt::TwinReport;
+  static constexpr char kHeader[] = "webtx-twin-replay v1";
+  static constexpr char kMode[] = "twin";
+  static constexpr char kDigestName[] = "twin";
+  /// Each case runs the live loop twice plus a simulator fleet per tick.
+  static constexpr size_t kDefaultCases = 25;
+  static constexpr bool kRunTwice = true;
+  static constexpr std::array<const char*, 7> kTallies = {
+      "nondeterministic", "thread_mismatch",  "total_decisions",
+      "total_switches",   "total_fallbacks",  "total_crashes",
+      "total_migrations"};
+  static ReplayFields<TwinChaosCase> Fields();
+  static constexpr auto Random = &RandomTwinChaosCase;
+  static constexpr auto Execute = &RunTwinChaosCase;
+  static uint64_t Digest(const rt::TwinReport& r) { return r.digest; }
+  static constexpr auto Check = &CheckTwinChaosInvariants;
+  static constexpr auto Shrink = &ShrinkTwinChaosCase;
+  static void Tally(const rt::TwinReport& r, Tallies& t) {
+    t["total_decisions"] += r.decisions.size();
+    t["total_switches"] += r.switches;
+    t["total_fallbacks"] += r.fallbacks;
+    t["total_crashes"] += r.stats.crashes;
+    t["total_migrations"] += r.stats.migrations;
+  }
+  /// The forecast-execution knobs may only change how fast the controller
+  /// decides, never what: a controller-enabled case re-runs at the other
+  /// two of forecast_threads 1/2/8 and with pooling toggled, and every
+  /// digest must match `digest` (else a "thread_mismatch").
+  static Result<std::string> Sweep(const TwinChaosCase& c, uint64_t digest,
+                                   Tallies& tallies);
 };
-
-struct TwinChaosCampaignResult {
-  size_t cases_run = 0;
-  size_t violations = 0;
-  /// Cases whose two runs produced different digests — the determinism
-  /// contract (trace + decision log) broke. Counted in `violations` too.
-  size_t determinism_mismatches = 0;
-  /// Cases where re-running with a different forecast_threads (1/2/8)
-  /// or with pooling toggled changed the digest — the digest-neutrality
-  /// contract of the forecast-execution knobs broke. Counted in
-  /// `violations` too.
-  size_t neutrality_mismatches = 0;
-  std::string first_violation;
-  TwinChaosCase first_reproducer;
-  // Aggregate controller exposure, to prove the campaign exercised the
-  // loop (and its guard), not just the executor.
-  size_t total_decisions = 0;
-  size_t total_switches = 0;
-  size_t total_fallbacks = 0;
-  size_t total_crashes = 0;
-  size_t total_migrations = 0;
-};
-
-/// Runs `num_cases` random cases. Every case is executed TWICE: the two
-/// digests must match (determinism audit) and the first run must pass
-/// the invariants. The first failing case is shrunk and (optionally)
-/// written as a reproducer.
-Result<TwinChaosCampaignResult> RunTwinChaosCampaign(
-    const TwinChaosCampaignOptions& options);
 
 }  // namespace webtx
 

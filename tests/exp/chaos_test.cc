@@ -1,6 +1,10 @@
 #include "exp/chaos.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "exp/campaign.h"
 
 namespace webtx {
 namespace {
@@ -55,34 +59,6 @@ TEST(ChaosDigestTest, DetectsBehavioralDifferences) {
   EXPECT_NE(a, b);
 }
 
-TEST(ChaosReplayTest, SerializeParseRoundTrips) {
-  const ChaosCase c = RandomChaosCase(123, 7);
-  const std::string text = SerializeChaosCase(c);
-  auto parsed = ParseChaosReplay(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  // Value-exact round trip, doubles included.
-  EXPECT_EQ(SerializeChaosCase(parsed.ValueOrDie()), text);
-}
-
-TEST(ChaosReplayTest, ParseToleratesCommentsAndBlankLines) {
-  const std::string text = "# a comment\n\n" + SerializeChaosCase(CrashyCase());
-  auto parsed = ParseChaosReplay(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed.ValueOrDie().policy, "EDF");
-}
-
-TEST(ChaosReplayTest, ParseRejectsGarbage) {
-  EXPECT_FALSE(ParseChaosReplay("").ok());
-  EXPECT_FALSE(ParseChaosReplay("not a replay\n").ok());
-  const std::string good = SerializeChaosCase(CrashyCase());
-  EXPECT_FALSE(ParseChaosReplay(good + "mystery_knob 3\n").ok());
-  EXPECT_FALSE(ParseChaosReplay(good + "crash_rate banana\n").ok());
-  EXPECT_FALSE(ParseChaosReplay(good + "migration lukewarm\n").ok());
-  EXPECT_FALSE(ParseChaosReplay(good + "suppress_crash banana\n").ok());
-  EXPECT_FALSE(ParseChaosReplay(good + "suppress_crash 1\n").ok());
-  EXPECT_FALSE(ParseChaosReplay(good + "suppress_outage 1 pear\n").ok());
-}
-
 TEST(ChaosReplayTest, SuppressionLinesRoundTrip) {
   ChaosCase c = CrashyCase();
   c.fault.outage_rate = 0.01;
@@ -90,10 +66,10 @@ TEST(ChaosReplayTest, SuppressionLinesRoundTrip) {
   c.fault.suppressed_crashes = {EncodeFaultOrdinal(1, 3),
                                 EncodeFaultOrdinal(0, 0)};
   c.fault.suppressed_outages = {EncodeFaultOrdinal(0, 2)};
-  const std::string text = SerializeChaosCase(c);
-  auto parsed = ParseChaosReplay(text);
+  const std::string text = SerializeReplay<SimChaos>(c);
+  auto parsed = ParseReplay<SimChaos>(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(SerializeChaosCase(parsed.ValueOrDie()), text);
+  EXPECT_EQ(SerializeReplay<SimChaos>(parsed.ValueOrDie()), text);
   EXPECT_EQ(parsed.ValueOrDie().fault.suppressed_crashes,
             c.fault.suppressed_crashes);
   EXPECT_EQ(parsed.ValueOrDie().fault.suppressed_outages,
@@ -105,13 +81,13 @@ TEST(ChaosReplayTest, SuppressionLinesRoundTrip) {
 
 TEST(ChaosRandomTest, CasesAreDeterministic) {
   for (uint64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(SerializeChaosCase(RandomChaosCase(42, i)),
-              SerializeChaosCase(RandomChaosCase(42, i)));
+    EXPECT_EQ(SerializeReplay<SimChaos>(RandomChaosCase(42, i)),
+              SerializeReplay<SimChaos>(RandomChaosCase(42, i)));
   }
-  EXPECT_NE(SerializeChaosCase(RandomChaosCase(42, 0)),
-            SerializeChaosCase(RandomChaosCase(42, 1)));
-  EXPECT_NE(SerializeChaosCase(RandomChaosCase(42, 0)),
-            SerializeChaosCase(RandomChaosCase(43, 0)));
+  EXPECT_NE(SerializeReplay<SimChaos>(RandomChaosCase(42, 0)),
+            SerializeReplay<SimChaos>(RandomChaosCase(42, 1)));
+  EXPECT_NE(SerializeReplay<SimChaos>(RandomChaosCase(42, 0)),
+            SerializeReplay<SimChaos>(RandomChaosCase(43, 0)));
 }
 
 TEST(ChaosShrinkTest, ShrinksToTheLoadBearingKnobs) {
@@ -121,7 +97,7 @@ TEST(ChaosShrinkTest, ShrinksToTheLoadBearingKnobs) {
   ChaosCase c = RandomChaosCase(1, 0);
   c.num_transactions = 200;
   c.fault.abort_rate = 0.01;
-  const ChaosPredicate predicate = [](const ChaosCase& x) {
+  const CasePredicate<ChaosCase> predicate = [](const ChaosCase& x) {
     return x.num_transactions >= 12 && x.fault.abort_rate > 0.0;
   };
   ASSERT_TRUE(predicate(c));
@@ -158,7 +134,7 @@ TEST(ChaosShrinkTest, KeepsTheCrashStreamWhenItIsTheCause) {
   // at least one migration, so the crash stream must survive shrinking.
   ChaosCase c = CrashyCase();
   c.fault.crash_rate = 0.05;
-  const ChaosPredicate predicate = [](const ChaosCase& x) {
+  const CasePredicate<ChaosCase> predicate = [](const ChaosCase& x) {
     auto run = RunChaosCase(x);
     return run.ok() && run.ValueOrDie().num_migrations >= 1;
   };
@@ -179,7 +155,7 @@ TEST(ChaosShrinkTest, BisectsTheCrashTimelineToLoadBearingInstants) {
   // The failure needs the full workload AND at least one crash. Pinning
   // the horizon forces the shrinker to thin the timeline itself instead
   // of halving the run until the crashes fall off the end.
-  const ChaosPredicate predicate = [](const ChaosCase& x) {
+  const CasePredicate<ChaosCase> predicate = [](const ChaosCase& x) {
     if (x.num_transactions < 40) return false;
     auto run = RunChaosCase(x);
     return run.ok() && run.ValueOrDie().num_crashes >= 1;
@@ -206,7 +182,7 @@ TEST(ChaosShrinkTest, BisectsTheOutageTimelineToLoadBearingInstants) {
   ASSERT_TRUE(initial.ok()) << initial.status();
   const size_t initial_outages = initial.ValueOrDie().num_outages;
   ASSERT_GE(initial_outages, 3u) << "nothing to bisect";
-  const ChaosPredicate predicate = [](const ChaosCase& x) {
+  const CasePredicate<ChaosCase> predicate = [](const ChaosCase& x) {
     if (x.num_transactions < 40) return false;
     auto run = RunChaosCase(x);
     return run.ok() && run.ValueOrDie().num_outages >= 1;
@@ -222,7 +198,7 @@ TEST(ChaosShrinkTest, BisectsTheOutageTimelineToLoadBearingInstants) {
 }
 
 TEST(ChaosCampaignTest, HealthySimulatorPassesACampaign) {
-  ChaosCampaignOptions options;
+  CampaignOptions options;
   options.master_seed = 7;
   options.num_cases = 40;
   size_t progress_calls = 0;
@@ -230,17 +206,25 @@ TEST(ChaosCampaignTest, HealthySimulatorPassesACampaign) {
     ++progress_calls;
     EXPECT_TRUE(violation.empty()) << violation;
   };
-  auto campaign = RunChaosCampaign(options);
+  auto campaign = RunCampaign<SimChaos>(options);
   ASSERT_TRUE(campaign.ok()) << campaign.status();
-  const ChaosCampaignResult& r = campaign.ValueOrDie();
+  const CampaignResult<SimChaos>& r = campaign.ValueOrDie();
   EXPECT_EQ(r.cases_run, 40u);
   EXPECT_EQ(r.violations, 0u);
   EXPECT_TRUE(r.first_violation.empty());
   EXPECT_EQ(progress_calls, 40u);
   // The campaign must actually exercise the crash machinery, not idle
   // on fault-free cases.
-  EXPECT_GT(r.total_crashes, 0u);
-  EXPECT_GT(r.total_migrations, 0u);
+  EXPECT_GT(r.tallies.at("total_crashes"), 0u);
+  EXPECT_GT(r.tallies.at("total_migrations"), 0u);
+}
+
+TEST(ChaosCampaignTest, UnsetCaseCountRunsTheDomainDefault) {
+  CampaignOptions options;
+  options.master_seed = 11;
+  auto campaign = RunCampaign<SimChaos>(options);
+  ASSERT_TRUE(campaign.ok()) << campaign.status();
+  EXPECT_EQ(campaign.ValueOrDie().cases_run, SimChaos::kDefaultCases);
 }
 
 }  // namespace

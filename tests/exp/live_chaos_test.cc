@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/campaign.h"
 #include "exp/live_chaos.h"
 
 namespace webtx {
@@ -46,11 +47,11 @@ TEST(LiveChaosTest, RandomCasesAreDeterministicPerIndex) {
   for (uint64_t index = 0; index < 5; ++index) {
     const LiveChaosCase a = RandomLiveChaosCase(99, index);
     const LiveChaosCase b = RandomLiveChaosCase(99, index);
-    EXPECT_EQ(SerializeLiveChaosCase(a), SerializeLiveChaosCase(b));
+    EXPECT_EQ(SerializeReplay<LiveChaos>(a), SerializeReplay<LiveChaos>(b));
   }
   // Different indices draw different cases.
-  EXPECT_NE(SerializeLiveChaosCase(RandomLiveChaosCase(99, 0)),
-            SerializeLiveChaosCase(RandomLiveChaosCase(99, 1)));
+  EXPECT_NE(SerializeReplay<LiveChaos>(RandomLiveChaosCase(99, 0)),
+            SerializeReplay<LiveChaos>(RandomLiveChaosCase(99, 1)));
 }
 
 TEST(LiveChaosTest, RunIsDigestStableAndPassesItsOwnInvariants) {
@@ -72,10 +73,10 @@ TEST(LiveChaosTest, RunIsDigestStableAndPassesItsOwnInvariants) {
 
 TEST(LiveChaosTest, ReplayFileRoundTripsToTheSameTimeline) {
   const LiveChaosCase original = SmallCase();
-  const std::string text = SerializeLiveChaosCase(original);
-  auto parsed = ParseLiveChaosReplay(text);
+  const std::string text = SerializeReplay<LiveChaos>(original);
+  auto parsed = ParseReplay<LiveChaos>(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(SerializeLiveChaosCase(parsed.ValueOrDie()), text);
+  EXPECT_EQ(SerializeReplay<LiveChaos>(parsed.ValueOrDie()), text);
 
   auto from_original = RunLiveChaosCase(original);
   auto from_replay = RunLiveChaosCase(parsed.ValueOrDie());
@@ -84,17 +85,18 @@ TEST(LiveChaosTest, ReplayFileRoundTripsToTheSameTimeline) {
             from_replay.ValueOrDie().digest);
 }
 
-TEST(LiveChaosTest, ParserRejectsCorruptReplays) {
-  const std::string text = SerializeLiveChaosCase(SmallCase());
-  EXPECT_FALSE(ParseLiveChaosReplay("bogus header\n" + text).ok());
-  EXPECT_FALSE(ParseLiveChaosReplay(text + "unknown_knob 3\n").ok());
+TEST(LiveChaosTest, RunRejectsZeroMaxWeight) {
+  // Weights are drawn from {1, ..., max_weight}: zero has no valid draw.
+  LiveChaosCase c = SmallCase();
+  c.max_weight = 0;
+  EXPECT_EQ(RunLiveChaosCase(c).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(LiveChaosTest, ShrinkPreservesThePredicate) {
   const LiveChaosCase original = SmallCase();
   // Stand-in failure predicate: "still has at least 10 tasks and a
   // crash stream" — shrink must simplify without ever leaving it.
-  const LiveChaosPredicate still_fails = [](const LiveChaosCase& c) {
+  const CasePredicate<LiveChaosCase> still_fails = [](const LiveChaosCase& c) {
     return c.num_tasks >= 10 && c.fault.crash_rate > 0.0;
   };
   const LiveChaosCase shrunk = ShrinkLiveChaosCase(original, still_fails);
@@ -104,20 +106,19 @@ TEST(LiveChaosTest, ShrinkPreservesThePredicate) {
 }
 
 TEST(LiveChaosTest, SmallCampaignRunsCleanAndExercisesFaults) {
-  LiveChaosCampaignOptions options;
+  CampaignOptions options;
   options.master_seed = 7;
   options.num_cases = 6;
-  auto result = RunLiveChaosCampaign(options);
+  auto result = RunCampaign<LiveChaos>(options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result.ValueOrDie().cases_run, 6u);
-  EXPECT_EQ(result.ValueOrDie().violations, 0u)
-      << result.ValueOrDie().first_violation;
-  EXPECT_EQ(result.ValueOrDie().determinism_mismatches, 0u);
+  const CampaignResult<LiveChaos>& r = result.ValueOrDie();
+  EXPECT_EQ(r.cases_run, 6u);
+  EXPECT_EQ(r.violations, 0u) << r.first_violation;
+  EXPECT_EQ(r.tallies.at("nondeterministic"), 0u);
   // The campaign generator is biased toward crash streams; a clean
   // pass with zero fault exposure would be vacuous.
-  EXPECT_GT(result.ValueOrDie().total_crashes +
-                result.ValueOrDie().total_stalls +
-                result.ValueOrDie().total_forced_aborts,
+  EXPECT_GT(r.tallies.at("total_crashes") + r.tallies.at("total_stalls") +
+                r.tallies.at("total_aborts"),
             0u);
 }
 

@@ -4,12 +4,12 @@
 // campaign — the machinery behind `tools/chaos --twin` and the check.sh
 // twin-smoke gate.
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exp/campaign.h"
 #include "exp/twin_chaos.h"
 
 namespace webtx {
@@ -48,10 +48,10 @@ TEST(TwinChaosTest, RandomCasesAreDeterministicPerIndex) {
   for (uint64_t index = 0; index < 5; ++index) {
     const TwinChaosCase a = RandomTwinChaosCase(99, index);
     const TwinChaosCase b = RandomTwinChaosCase(99, index);
-    EXPECT_EQ(SerializeTwinChaosCase(a), SerializeTwinChaosCase(b));
+    EXPECT_EQ(SerializeReplay<TwinChaos>(a), SerializeReplay<TwinChaos>(b));
   }
-  EXPECT_NE(SerializeTwinChaosCase(RandomTwinChaosCase(99, 0)),
-            SerializeTwinChaosCase(RandomTwinChaosCase(99, 1)));
+  EXPECT_NE(SerializeReplay<TwinChaos>(RandomTwinChaosCase(99, 0)),
+            SerializeReplay<TwinChaos>(RandomTwinChaosCase(99, 1)));
 }
 
 TEST(TwinChaosTest, RunIsDigestStableAndPassesItsOwnInvariants) {
@@ -111,10 +111,10 @@ TEST(TwinChaosTest, CorruptedModelTripsTheGuard) {
 
 TEST(TwinChaosTest, ReplayFileRoundTripsToTheSameTimeline) {
   const TwinChaosCase original = SmallCase();
-  const std::string text = SerializeTwinChaosCase(original);
-  auto parsed = ParseTwinChaosReplay(text);
+  const std::string text = SerializeReplay<TwinChaos>(original);
+  auto parsed = ParseReplay<TwinChaos>(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(SerializeTwinChaosCase(parsed.ValueOrDie()), text);
+  EXPECT_EQ(SerializeReplay<TwinChaos>(parsed.ValueOrDie()), text);
 
   auto from_original = RunTwinChaosCase(original);
   auto from_replay = RunTwinChaosCase(parsed.ValueOrDie());
@@ -123,22 +123,22 @@ TEST(TwinChaosTest, ReplayFileRoundTripsToTheSameTimeline) {
             from_replay.ValueOrDie().digest);
 }
 
-TEST(TwinChaosTest, ParserRejectsCorruptReplays) {
-  const std::string text = SerializeTwinChaosCase(SmallCase());
-  EXPECT_FALSE(ParseTwinChaosReplay("bogus header\n" + text).ok());
-  EXPECT_FALSE(ParseTwinChaosReplay(text + "unknown_knob 3\n").ok());
-  // A twin replay without its candidate table is not a runnable case.
-  std::string no_candidates;
-  std::istringstream lines(text);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("candidate ", 0) != 0) no_candidates += line + "\n";
-  }
-  EXPECT_FALSE(ParseTwinChaosReplay(no_candidates).ok());
+TEST(TwinChaosTest, RunRejectsNonsenseParameters) {
+  // Weights are drawn from {1, ..., max_weight}: zero has no valid draw.
+  TwinChaosCase zero_weight = SmallCase();
+  zero_weight.max_weight = 0;
+  EXPECT_EQ(RunTwinChaosCase(zero_weight).status().code(),
+            StatusCode::kInvalidArgument);
+  // A case (or replay) without its candidate table is not runnable.
+  TwinChaosCase no_candidates = SmallCase();
+  no_candidates.candidates.clear();
+  EXPECT_EQ(RunTwinChaosCase(no_candidates).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TwinChaosTest, ShrinkPreservesThePredicate) {
   const TwinChaosCase original = SmallCase();
-  const TwinChaosPredicate still_fails = [](const TwinChaosCase& c) {
+  const CasePredicate<TwinChaosCase> still_fails = [](const TwinChaosCase& c) {
     return c.num_tasks >= 10 && !c.candidates.empty() &&
            c.fault.crash_rate > 0.0;
   };
@@ -150,17 +150,18 @@ TEST(TwinChaosTest, ShrinkPreservesThePredicate) {
 }
 
 TEST(TwinChaosTest, SmallCampaignRunsCleanAndExercisesTheController) {
-  TwinChaosCampaignOptions options;
+  CampaignOptions options;
   options.master_seed = 7;
   options.num_cases = 4;
-  auto result = RunTwinChaosCampaign(options);
+  auto result = RunCampaign<TwinChaos>(options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result.ValueOrDie().cases_run, 4u);
-  EXPECT_EQ(result.ValueOrDie().violations, 0u)
-      << result.ValueOrDie().first_violation;
-  EXPECT_EQ(result.ValueOrDie().determinism_mismatches, 0u);
+  const CampaignResult<TwinChaos>& r = result.ValueOrDie();
+  EXPECT_EQ(r.cases_run, 4u);
+  EXPECT_EQ(r.violations, 0u) << r.first_violation;
+  EXPECT_EQ(r.tallies.at("nondeterministic"), 0u);
+  EXPECT_EQ(r.tallies.at("thread_mismatch"), 0u);
   // A clean pass that never ticked the controller would be vacuous.
-  EXPECT_GT(result.ValueOrDie().total_decisions, 0u);
+  EXPECT_GT(r.tallies.at("total_decisions"), 0u);
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ std::string ReadFileAt(const std::string& path) {
 std::string ReadReplayFile() { return ReadFileAt(ReplayPath()); }
 
 TEST(ChaosReplayIntegrationTest, CommittedReproducerParses) {
-  auto parsed = ParseChaosReplay(ReadReplayFile());
+  auto parsed = ParseReplay<SimChaos>(ReadReplayFile());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const ChaosCase& c = parsed.ValueOrDie();
   // The minted case is a cold-failover crash scenario by construction.
@@ -56,7 +56,7 @@ TEST(ChaosReplayIntegrationTest, CommittedReproducerParses) {
 }
 
 TEST(ChaosReplayIntegrationTest, ReplaysByteIdentically) {
-  auto parsed = ParseChaosReplay(ReadReplayFile());
+  auto parsed = ParseReplay<SimChaos>(ReadReplayFile());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const ChaosCase c = std::move(parsed).ValueOrDie();
 
@@ -79,13 +79,13 @@ TEST(ChaosReplayIntegrationTest, ReplaysByteIdentically) {
 
 TEST(ChaosReplayIntegrationTest, ReserializingTheFileIsLossless) {
   const std::string text = ReadReplayFile();
-  auto parsed = ParseChaosReplay(text);
+  auto parsed = ParseReplay<SimChaos>(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(SerializeChaosCase(parsed.ValueOrDie()), text);
+  EXPECT_EQ(SerializeReplay<SimChaos>(parsed.ValueOrDie()), text);
 }
 
 TEST(ChaosReplayIntegrationTest, HugeStructuresReproducerParses) {
-  auto parsed = ParseChaosReplay(ReadFileAt(HugeReplayPath()));
+  auto parsed = ParseReplay<SimChaos>(ReadFileAt(HugeReplayPath()));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const ChaosCase& c = parsed.ValueOrDie();
   EXPECT_EQ(c.policy, "ASETS*-lazy");
@@ -93,7 +93,7 @@ TEST(ChaosReplayIntegrationTest, HugeStructuresReproducerParses) {
 }
 
 TEST(ChaosReplayIntegrationTest, HugeStructuresReplayByteIdentical) {
-  auto parsed = ParseChaosReplay(ReadFileAt(HugeReplayPath()));
+  auto parsed = ParseReplay<SimChaos>(ReadFileAt(HugeReplayPath()));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const ChaosCase c = std::move(parsed).ValueOrDie();
 
@@ -116,9 +116,9 @@ TEST(ChaosReplayIntegrationTest, HugeStructuresReplayByteIdentical) {
 
 TEST(ChaosReplayIntegrationTest, HugeStructuresFileIsLossless) {
   const std::string text = ReadFileAt(HugeReplayPath());
-  auto parsed = ParseChaosReplay(text);
+  auto parsed = ParseReplay<SimChaos>(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(SerializeChaosCase(parsed.ValueOrDie()), text);
+  EXPECT_EQ(SerializeReplay<SimChaos>(parsed.ValueOrDie()), text);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ std::string ReadReplayFile() {
 }
 
 TEST(LiveChaosReplayIntegrationTest, CommittedReproducerParses) {
-  auto parsed = ParseLiveChaosReplay(ReadReplayFile());
+  auto parsed = ParseReplay<LiveChaos>(ReadReplayFile());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const LiveChaosCase& c = parsed.ValueOrDie();
   // The minted case is a cold-failover crash scenario by construction.
@@ -46,7 +46,7 @@ TEST(LiveChaosReplayIntegrationTest, CommittedReproducerParses) {
 }
 
 TEST(LiveChaosReplayIntegrationTest, ReplaysByteIdentically) {
-  auto parsed = ParseLiveChaosReplay(ReadReplayFile());
+  auto parsed = ParseReplay<LiveChaos>(ReadReplayFile());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const LiveChaosCase c = std::move(parsed).ValueOrDie();
 
@@ -72,9 +72,9 @@ TEST(LiveChaosReplayIntegrationTest, ReplaysByteIdentically) {
 
 TEST(LiveChaosReplayIntegrationTest, ReserializingTheFileIsLossless) {
   const std::string text = ReadReplayFile();
-  auto parsed = ParseLiveChaosReplay(text);
+  auto parsed = ParseReplay<LiveChaos>(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(SerializeLiveChaosCase(parsed.ValueOrDie()), text);
+  EXPECT_EQ(SerializeReplay<LiveChaos>(parsed.ValueOrDie()), text);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ std::string ReadReplayFile() {
 }
 
 TEST(TwinReplayIntegrationTest, CommittedReproducerParses) {
-  auto parsed = ParseTwinChaosReplay(ReadReplayFile());
+  auto parsed = ParseReplay<TwinChaos>(ReadReplayFile());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const TwinChaosCase& c = parsed.ValueOrDie();
   // The minted case is a guard-trip scenario by construction: the
@@ -50,7 +50,7 @@ TEST(TwinReplayIntegrationTest, CommittedReproducerParses) {
 }
 
 TEST(TwinReplayIntegrationTest, ReplaysByteIdentically) {
-  auto parsed = ParseTwinChaosReplay(ReadReplayFile());
+  auto parsed = ParseReplay<TwinChaos>(ReadReplayFile());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const TwinChaosCase c = std::move(parsed).ValueOrDie();
 
@@ -79,9 +79,9 @@ TEST(TwinReplayIntegrationTest, ReplaysByteIdentically) {
 
 TEST(TwinReplayIntegrationTest, ReserializingTheFileIsLossless) {
   const std::string text = ReadReplayFile();
-  auto parsed = ParseTwinChaosReplay(text);
+  auto parsed = ParseReplay<TwinChaos>(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(SerializeTwinChaosCase(parsed.ValueOrDie()), text);
+  EXPECT_EQ(SerializeReplay<TwinChaos>(parsed.ValueOrDie()), text);
 }
 
 // ---------------------------------------------------------------------
@@ -107,13 +107,13 @@ TEST(TwinReplayIntegrationTest, ParallelForecastReplayPinsItsDigest) {
                               << ParallelReplayPath();
   std::ostringstream text;
   text << file.rdbuf();
-  auto parsed = ParseTwinChaosReplay(text.str());
+  auto parsed = ParseReplay<TwinChaos>(text.str());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const TwinChaosCase base = std::move(parsed).ValueOrDie();
   EXPECT_EQ(base.forecast_threads, 8u);
   EXPECT_TRUE(base.pooled_forecasts);
   // Lossless round trip, same contract as the guard replay.
-  EXPECT_EQ(SerializeTwinChaosCase(base), text.str());
+  EXPECT_EQ(SerializeReplay<TwinChaos>(base), text.str());
 
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     TwinChaosCase c = base;

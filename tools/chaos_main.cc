@@ -1,81 +1,56 @@
-// chaos — randomized crash-failover campaign runner and replay tool.
+// chaos — randomized fault-injection campaign runner and replay tool.
 //
-// Campaign mode (default): runs N randomized (policy, fault plan, seed)
-// cases through the simulator and the independent schedule validator;
-// on the first invariant violation the failing case is shrunk to a
-// local minimum and serialized as a replay file.
+// One campaign engine (exp/campaign.h) drives three domains: the
+// simulator (default), the live executor (--live: rt::Executor under a
+// VirtualClock) and the digital twin (--twin: rt::Twin). A campaign
+// runs N randomized cases. Simulator cases are audited by the schedule
+// validator; live and twin cases run twice and must produce
+// byte-identical digests, and their first run is audited by the live
+// trace validator (plus, for the twin, the controller contract and a
+// forecast_threads 1/2/8 / pooling re-run that must not move the
+// digest). The first failing case is shrunk to a local minimum and
+// written as a replay file (--out) or printed. Default case counts:
+// 200 (simulator), 200 (live), 25 (twin).
 //
-//   chaos [--cases N] [--seed S] [--out reproducer.chaos] [--verbose]
+//   chaos [--live|--twin] [--cases N] [--seed S] [--out FILE] [--verbose]
 //
-// Replay mode: re-runs a serialized case and reports the schedule
-// digest plus the validator verdict. Byte-identical replays print the
-// same digest on every machine.
+// Replay mode re-runs a replay file of any domain (its header line
+// names the domain) and prints the digest and audit verdict; a replay
+// prints the same digest on every machine. Mint mode turns a healthy
+// campaign into a regression reproducer: the first case that is
+// deterministic, validates and reaches the domain's deepest path is
+// shrunk against that predicate and written to FILE (the replay
+// integration tests pin such files and their digests).
 //
-//   chaos --replay reproducer.chaos
+//   chaos --replay FILE
+//   chaos --mint FILE | --mint-live FILE | --mint-twin FILE [--seed S]
 //
-// Mint mode: when a campaign finds no violations (the healthy state),
-// this produces a regression reproducer anyway — it takes the first
-// randomized case exhibiting cold-failover migrations and shrinks it
-// against the behavioral predicate "still migrates work off a crashed
-// server", then writes the minimal case as a replay file. The replay
-// integration test pins such a file plus its schedule digest.
+// Steal mode checks the sharded policy state: each multi-server,
+// workflow-heavy, overloaded case runs with a global-state policy and
+// its "-sharded" variant (sched/scheduler_policy.h); the sharded run
+// must validate and match the global digest byte for byte.
 //
-//   chaos --mint FILE [--seed S]
+//   chaos --steal [--cases N] [--seed S]     (25 cases by default)
 //
-// Live mode: the same campaign idea pointed at the LIVE executor
-// (rt::Executor) under a VirtualClock — seeded fault injection (worker
-// crashes, stall windows, forced aborts, latency spikes), retry storms,
-// admission control, and the stall watchdog, audited by the live trace
-// validator. Every case runs twice and must produce byte-identical
-// trace digests (the determinism contract).
-//
-//   chaos --live [--cases N] [--seed S] [--out reproducer.chaos] [--verbose]
-//
-// Live replays share the --replay flag: the file header says which
-// harness the case belongs to.
-//
-//   chaos --mint-live FILE [--seed S]   mint a live regression replay
-//
-// Twin mode: the digital-twin campaign (rt::Twin via exp/twin_chaos.h):
-// seeded open-loop workloads (flash crowds, bursty ON/OFF) served live
-// while the shadow-simulator controller forecasts, switches, and falls
-// back behind its divergence guard. Every case runs twice and must
-// produce byte-identical digests covering the trace AND the decision
-// log; the first run is audited by the live validator plus the
-// controller contract. Controller-enabled cases additionally re-run
-// across forecast_threads 1/2/8 and with forecast pooling toggled —
-// the decision-loop cost knobs must be digest-neutral.
-//
-//   chaos --twin [--cases N] [--seed S] [--out reproducer.chaos] [--verbose]
-//   chaos --mint-twin FILE [--seed S]   mint a guard-exercising replay
-//
-// Twin replays also route through --replay (by file header).
-//
-// Steal mode: campaign for the sharded policy state. Each case is a
-// multi-server, workflow-heavy, overloaded scenario run once with a
-// global-state policy and once with its "-sharded" variant (per-shard
-// ready structures + deterministic work stealing; see
-// sched/scheduler_policy.h). The sharded run is audited by the
-// schedule validator and its digest must be byte-identical to the
-// global run — the steal protocol must never change a decision.
-//
-//   chaos --steal [--cases N] [--seed S]
-//
-// Exit status: 0 when every case passed (or the replay validates),
-// 1 on invariant violations (or a steal-mode digest divergence),
-// 2 on usage/IO errors.
+// Exit status: 0 when every case passed (or the replay validates), 1 on
+// invariant violations (or a steal-mode divergence), 2 on usage/IO
+// errors.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "exp/campaign.h"
 #include "exp/chaos.h"
 #include "exp/live_chaos.h"
 #include "exp/twin_chaos.h"
 
+namespace webtx {
 namespace {
 
 int Usage(const char* argv0) {
@@ -91,12 +66,17 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+int Fail(const Status& status) {
+  std::fprintf(stderr, "chaos: %s\n", status.ToString().c_str());
+  return 2;
+}
+
 // One case of the steal campaign: multi-server, workflow-heavy and
 // overloaded (every round places k heads, so cross-shard steals are
 // dense), with the randomized policy mapped onto a base that has a
 // sharded-state variant.
-webtx::ChaosCase StealChaosCase(uint64_t master_seed, uint64_t index) {
-  webtx::ChaosCase c = webtx::RandomChaosCase(master_seed, index);
+ChaosCase StealChaosCase(uint64_t master_seed, uint64_t index) {
+  ChaosCase c = RandomChaosCase(master_seed, index);
   c.num_servers = 1u << (1 + index % 3);  // 2, 4, 8
   if (c.utilization < 2.0) c.utilization = 2.0;
   if (c.max_workflow_length < 3) c.max_workflow_length = 3;
@@ -113,297 +93,176 @@ webtx::ChaosCase StealChaosCase(uint64_t master_seed, uint64_t index) {
 int RunStealCampaign(uint64_t master_seed, size_t num_cases) {
   int failures = 0;
   for (uint64_t i = 0; i < num_cases; ++i) {
-    const webtx::ChaosCase global = StealChaosCase(master_seed, i);
-    auto global_run = webtx::RunChaosCase(global);
-    if (!global_run.ok()) {
-      std::fprintf(stderr, "chaos: steal case %llu (global): %s\n",
+    ChaosCase c = StealChaosCase(master_seed, i);
+    const auto global = ReplayCase<SimChaos>(c);
+    c.policy += "-sharded";
+    const auto sharded = ReplayCase<SimChaos>(c);
+    if (!global.ok() || !sharded.ok()) {
+      const Status error = global.ok() ? sharded.status() : global.status();
+      std::fprintf(stderr, "chaos: steal case %llu: %s\n",
                    static_cast<unsigned long long>(i),
-                   global_run.status().ToString().c_str());
+                   error.ToString().c_str());
       return 2;
     }
-    const uint64_t global_digest =
-        webtx::ScheduleDigest(global_run.ValueOrDie());
-
-    webtx::ChaosCase sharded = global;
-    sharded.policy = global.policy + "-sharded";
-    auto run = webtx::RunChaosCase(sharded);
-    if (!run.ok()) {
-      std::fprintf(stderr, "chaos: steal case %llu (sharded): %s\n",
-                   static_cast<unsigned long long>(i),
-                   run.status().ToString().c_str());
-      return 2;
-    }
-    const webtx::RunResult result = std::move(run).ValueOrDie();
-    const webtx::Status verdict =
-        webtx::CheckChaosInvariants(sharded, result);
-    const uint64_t digest = webtx::ScheduleDigest(result);
-    const bool diverged = digest != global_digest;
+    const ReplayedCase<SimChaos>& r = sharded.ValueOrDie();
+    const bool diverged = r.digest != global.ValueOrDie().digest;
     std::printf(
         "case %llu policy=%-22s servers=%zu crashes=%zu migrations=%zu "
         "aborts=%zu digest=%016llx validator=%s steal=%s\n",
-        static_cast<unsigned long long>(i), sharded.policy.c_str(),
-        sharded.num_servers, result.num_crashes, result.num_migrations,
-        result.num_aborts, static_cast<unsigned long long>(digest),
-        verdict.ok() ? "ok" : verdict.ToString().c_str(),
+        static_cast<unsigned long long>(i), c.policy.c_str(), c.num_servers,
+        r.run.num_crashes, r.run.num_migrations, r.run.num_aborts,
+        static_cast<unsigned long long>(r.digest),
+        r.verdict.ok() ? "ok" : r.verdict.ToString().c_str(),
         diverged ? "DIVERGED" : "byte-identical");
-    if (!verdict.ok() || diverged) ++failures;
+    if (!r.verdict.ok() || diverged) ++failures;
   }
   std::printf("steal cases       %zu\n", num_cases);
   std::printf("failures          %d\n", failures);
   return failures > 0 ? 1 : 0;
 }
 
-// Re-runs a live replay twice: prints the trace digest, the determinism
-// verdict (the two digests must match), and the live validator verdict.
-int RunLiveReplay(const webtx::LiveChaosCase& c) {
-  auto first = webtx::RunLiveChaosCase(c);
-  if (!first.ok()) {
-    std::fprintf(stderr, "chaos: %s\n", first.status().ToString().c_str());
-    return 2;
-  }
-  auto second = webtx::RunLiveChaosCase(c);
-  if (!second.ok()) {
-    std::fprintf(stderr, "chaos: %s\n", second.status().ToString().c_str());
-    return 2;
-  }
-  const webtx::LiveChaosRun run = std::move(first).ValueOrDie();
-  const bool deterministic = run.digest == second.ValueOrDie().digest;
-  std::printf("mode              live\n");
-  std::printf("policy            %s\n", c.policy.c_str());
-  std::printf("tasks             %zu\n", c.num_tasks);
-  std::printf("workers           %zu\n", c.num_workers);
-  std::printf("crashes           %zu\n", run.stats.crashes);
-  std::printf("stalls            %zu\n", run.stats.stalls);
-  std::printf("migrations        %zu\n", run.stats.migrations);
-  std::printf("forced_aborts     %zu\n", run.stats.forced_aborts);
-  std::printf("completed         %zu\n", run.stats.completed);
-  std::printf("trace_digest      %016llx\n",
-              static_cast<unsigned long long>(run.digest));
-  std::printf("determinism       %s\n",
-              deterministic ? "byte-identical" : "DIVERGED");
-  const webtx::Status verdict = webtx::CheckLiveChaosInvariants(c, run);
-  std::printf("validator         %s\n", verdict.ToString().c_str());
-  return verdict.ok() && deterministic ? 0 : 1;
+// Report lines: a key padded to a fixed column, then the value.
+
+using Rows = std::vector<std::pair<std::string, std::string>>;
+
+void PrintRow(const std::string& key, const std::string& value) {
+  std::printf("%-17s %s\n", key.c_str(), value.c_str());
 }
 
-int RunLiveCampaign(const webtx::ChaosCampaignOptions& sim_options,
-                    bool verbose) {
-  webtx::LiveChaosCampaignOptions options;
-  options.master_seed = sim_options.master_seed;
-  options.num_cases = sim_options.num_cases;
-  options.reproducer_path = sim_options.reproducer_path;
+std::string Count(size_t n) { return std::to_string(n); }
+
+std::string Format(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, v);
+  return buf;
+}
+
+// "" for the simulator, "live " / "twin " for the executor domains.
+template <typename Domain>
+std::string Label() {
+  const std::string mode = Domain::kMode;
+  return mode.empty() ? mode : mode + " ";
+}
+
+// Per-domain replay report rows (between the mode and digest lines).
+Rows ReplayRows(const ChaosCase& c, const RunResult& r) {
+  return {{"policy", c.policy},
+          {"transactions", Count(c.num_transactions)},
+          {"servers", Count(c.num_servers)},
+          {"crashes", Count(r.num_crashes)},
+          {"migrations", Count(r.num_migrations)},
+          {"aborts", Count(r.num_aborts)},
+          {"goodput", Format("%.4f", r.goodput)}};
+}
+
+Rows ReplayRows(const LiveChaosCase& c, const LiveChaosRun& run) {
+  return {{"policy", c.policy},
+          {"tasks", Count(c.num_tasks)},
+          {"workers", Count(c.num_workers)},
+          {"crashes", Count(run.stats.crashes)},
+          {"stalls", Count(run.stats.stalls)},
+          {"migrations", Count(run.stats.migrations)},
+          {"forced_aborts", Count(run.stats.forced_aborts)},
+          {"completed", Count(run.stats.completed)}};
+}
+
+Rows ReplayRows(const TwinChaosCase& c, const rt::TwinReport& r) {
+  return {{"shape", LiveArrivalShapeName(c.shape)},
+          {"tasks", Count(c.num_tasks)},
+          {"workers", Count(c.num_workers)},
+          {"candidates", Count(c.candidates.size())},
+          {"controller", c.controller_enabled ? "on" : "off"},
+          {"decisions", Count(r.decisions.size())},
+          {"switches", Count(r.switches)},
+          {"fallbacks", Count(r.fallbacks)},
+          {"completed", Count(r.stats.completed)},
+          {"avg_tardiness", Format("%.6f", r.avg_tardiness)},
+          {"shed_ratio", Format("%.4f", r.shed_ratio)}};
+}
+
+// Mint targets, each domain's deepest path: cold failover migrating work
+// off a crashed server; work failing over off a dead executor slot; the
+// twin's divergence guard catching a corrupted shadow model.
+bool MintTarget(const ChaosCase& c, const RunResult& r) {
+  return c.fault.migration == MigrationPolicy::kCold && r.num_migrations >= 1;
+}
+bool MintTarget(const LiveChaosCase&, const LiveChaosRun& run) {
+  return run.stats.migrations >= 1;
+}
+bool MintTarget(const TwinChaosCase&, const rt::TwinReport& r) {
+  return r.fallbacks >= 1;
+}
+
+// The twin mints from its acceptance scenario: a flash crowd served by an
+// enabled controller whose snapshot stream is corrupted.
+void PrepareMint(ChaosCase&) {}
+void PrepareMint(LiveChaosCase&) {}
+void PrepareMint(TwinChaosCase& c) {
+  c.shape = LiveArrivalShape::kFlashCrowd;
+  c.controller_enabled = true;
+  if (c.snapshot_corruption == 1.0) c.snapshot_corruption = 8.0;
+}
+
+// The generic campaign, replay and mint paths.
+
+template <typename Domain>
+int RunCampaignMode(CampaignOptions options, bool verbose) {
+  const std::string label = Label<Domain>();
   if (verbose) {
-    options.progress = [](size_t index, const std::string& violation) {
-      if (violation.empty()) {
-        std::fprintf(stderr, "live case %zu ok\n", index);
-      } else {
-        std::fprintf(stderr, "live case %zu VIOLATION: %s\n", index,
-                     violation.c_str());
-      }
+    options.progress = [label](size_t index, const std::string& violation) {
+      std::fprintf(stderr, "%scase %zu %s%s\n", label.c_str(), index,
+                   violation.empty() ? "ok" : "VIOLATION: ", violation.c_str());
     };
   }
-  auto campaign = webtx::RunLiveChaosCampaign(options);
-  if (!campaign.ok()) {
-    std::fprintf(stderr, "chaos: %s\n",
-                 campaign.status().ToString().c_str());
-    return 2;
+  auto campaign = RunCampaign<Domain>(options);
+  if (!campaign.ok()) return Fail(campaign.status());
+  const CampaignResult<Domain>& r = campaign.ValueOrDie();
+  PrintRow(label + "cases", Count(r.cases_run));
+  PrintRow("violations", Count(r.violations));
+  for (const char* name : Domain::kTallies) {
+    PrintRow(name, Count(r.tallies.at(name)));
   }
-  const webtx::LiveChaosCampaignResult r = std::move(campaign).ValueOrDie();
-  std::printf("live cases        %zu\n", r.cases_run);
-  std::printf("violations        %zu\n", r.violations);
-  std::printf("nondeterministic  %zu\n", r.determinism_mismatches);
-  std::printf("total_crashes     %zu\n", r.total_crashes);
-  std::printf("total_stalls      %zu\n", r.total_stalls);
-  std::printf("total_migrations  %zu\n", r.total_migrations);
-  std::printf("total_aborts      %zu\n", r.total_forced_aborts);
-  std::printf("total_retries     %zu\n", r.total_retries);
-  if (r.violations > 0) {
-    std::printf("first violation: %s\n", r.first_violation.c_str());
-    if (!options.reproducer_path.empty()) {
-      std::printf("shrunken reproducer written to %s\n",
-                  options.reproducer_path.c_str());
-    } else {
-      std::printf("shrunken reproducer:\n%s",
-                  webtx::SerializeLiveChaosCase(r.first_reproducer).c_str());
-    }
-    return 1;
+  if (r.violations == 0) return 0;
+  std::printf("first violation: %s\n", r.first_violation.c_str());
+  if (!options.reproducer_path.empty()) {
+    std::printf("shrunken reproducer written to %s\n",
+                options.reproducer_path.c_str());
+  } else {
+    std::printf("shrunken reproducer:\n%s",
+                SerializeReplay<Domain>(r.first_reproducer).c_str());
   }
-  return 0;
+  return 1;
 }
 
-int RunMintLive(const std::string& path, uint64_t master_seed) {
-  // Behavioral predicate: the case is deterministic, validates, and
-  // still fails work over off a dead slot — the deepest live path
-  // (zombie attempt, slot detach, uncharged re-dispatch).
-  const webtx::LiveChaosPredicate migrates =
-      [](const webtx::LiveChaosCase& c) {
-        auto first = webtx::RunLiveChaosCase(c);
-        if (!first.ok()) return false;
-        auto second = webtx::RunLiveChaosCase(c);
-        if (!second.ok()) return false;
-        const webtx::LiveChaosRun& run = first.ValueOrDie();
-        return run.digest == second.ValueOrDie().digest &&
-               run.stats.migrations >= 1 &&
-               webtx::CheckLiveChaosInvariants(c, run).ok();
-      };
-  for (uint64_t i = 0; i < 10000; ++i) {
-    webtx::LiveChaosCase c = webtx::RandomLiveChaosCase(master_seed, i);
-    if (!migrates(c)) continue;
-    c = webtx::ShrinkLiveChaosCase(c, migrates);
-    std::ofstream file(path);
-    file << webtx::SerializeLiveChaosCase(c);
-    if (!file.good()) {
-      std::fprintf(stderr, "chaos: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    const webtx::LiveChaosRun run =
-        webtx::RunLiveChaosCase(c).ValueOrDie();
-    std::printf("minted %s (live case %llu of seed %llu)\n", path.c_str(),
-                static_cast<unsigned long long>(i),
-                static_cast<unsigned long long>(master_seed));
-    std::printf("tasks             %zu\n", c.num_tasks);
-    std::printf("migrations        %zu\n", run.stats.migrations);
-    std::printf("trace_digest      %016llx\n",
-                static_cast<unsigned long long>(run.digest));
-    return 0;
+// Runs a case the way a replay does (twice for the live and twin
+// domains) and prints its report rows, digest, determinism verdict and
+// invariant verdict. Returns the exit status.
+template <typename Domain>
+int PrintReplay(const typename Domain::Case& c) {
+  auto replayed = ReplayCase<Domain>(c);
+  if (!replayed.ok()) return Fail(replayed.status());
+  const ReplayedCase<Domain>& r = replayed.ValueOrDie();
+  if (*Domain::kMode != '\0') PrintRow("mode", Domain::kMode);
+  for (const auto& [key, value] : ReplayRows(c, r.run)) PrintRow(key, value);
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(r.digest));
+  PrintRow(std::string(Domain::kDigestName) + "_digest", digest);
+  if (Domain::kRunTwice) {
+    PrintRow("determinism", r.deterministic() ? "byte-identical" : "DIVERGED");
   }
-  std::fprintf(stderr, "chaos: no live migration case found\n");
-  return 2;
+  PrintRow("validator", r.verdict.ToString());
+  return r.verdict.ok() && r.deterministic() ? 0 : 1;
 }
 
-// Re-runs a twin replay twice: prints the combined digest (trace +
-// decision log), the determinism verdict, and the invariant verdict.
-int RunTwinReplay(const webtx::TwinChaosCase& c) {
-  auto first = webtx::RunTwinChaosCase(c);
-  if (!first.ok()) {
-    std::fprintf(stderr, "chaos: %s\n", first.status().ToString().c_str());
-    return 2;
-  }
-  auto second = webtx::RunTwinChaosCase(c);
-  if (!second.ok()) {
-    std::fprintf(stderr, "chaos: %s\n", second.status().ToString().c_str());
-    return 2;
-  }
-  const webtx::rt::TwinReport report = std::move(first).ValueOrDie();
-  const bool deterministic = report.digest == second.ValueOrDie().digest;
-  std::printf("mode              twin\n");
-  std::printf("shape             %s\n", webtx::LiveArrivalShapeName(c.shape));
-  std::printf("tasks             %zu\n", c.num_tasks);
-  std::printf("workers           %zu\n", c.num_workers);
-  std::printf("candidates        %zu\n", c.candidates.size());
-  std::printf("controller        %s\n", c.controller_enabled ? "on" : "off");
-  std::printf("decisions         %zu\n", report.decisions.size());
-  std::printf("switches          %zu\n", report.switches);
-  std::printf("fallbacks         %zu\n", report.fallbacks);
-  std::printf("completed         %zu\n", report.stats.completed);
-  std::printf("avg_tardiness     %.6f\n", report.avg_tardiness);
-  std::printf("shed_ratio        %.4f\n", report.shed_ratio);
-  std::printf("twin_digest       %016llx\n",
-              static_cast<unsigned long long>(report.digest));
-  std::printf("determinism       %s\n",
-              deterministic ? "byte-identical" : "DIVERGED");
-  const webtx::Status verdict = webtx::CheckTwinChaosInvariants(c, report);
-  std::printf("validator         %s\n", verdict.ToString().c_str());
-  return verdict.ok() && deterministic ? 0 : 1;
+template <typename Domain>
+int RunReplay(const std::string& text) {
+  auto parsed = ParseReplay<Domain>(text);
+  if (!parsed.ok()) return Fail(parsed.status());
+  return PrintReplay<Domain>(parsed.ValueOrDie());
 }
 
-int RunTwinCampaign(const webtx::ChaosCampaignOptions& sim_options,
-                    bool verbose) {
-  webtx::TwinChaosCampaignOptions options;
-  options.master_seed = sim_options.master_seed;
-  // Each twin case runs the live loop twice plus a simulator fleet per
-  // control tick; trim the sim campaign's default.
-  options.num_cases =
-      sim_options.num_cases == 200 ? 25 : sim_options.num_cases;
-  options.reproducer_path = sim_options.reproducer_path;
-  if (verbose) {
-    options.progress = [](size_t index, const std::string& violation) {
-      if (violation.empty()) {
-        std::fprintf(stderr, "twin case %zu ok\n", index);
-      } else {
-        std::fprintf(stderr, "twin case %zu VIOLATION: %s\n", index,
-                     violation.c_str());
-      }
-    };
-  }
-  auto campaign = webtx::RunTwinChaosCampaign(options);
-  if (!campaign.ok()) {
-    std::fprintf(stderr, "chaos: %s\n",
-                 campaign.status().ToString().c_str());
-    return 2;
-  }
-  const webtx::TwinChaosCampaignResult r = std::move(campaign).ValueOrDie();
-  std::printf("twin cases        %zu\n", r.cases_run);
-  std::printf("violations        %zu\n", r.violations);
-  std::printf("nondeterministic  %zu\n", r.determinism_mismatches);
-  std::printf("thread_mismatch   %zu\n", r.neutrality_mismatches);
-  std::printf("total_decisions   %zu\n", r.total_decisions);
-  std::printf("total_switches    %zu\n", r.total_switches);
-  std::printf("total_fallbacks   %zu\n", r.total_fallbacks);
-  std::printf("total_crashes     %zu\n", r.total_crashes);
-  std::printf("total_migrations  %zu\n", r.total_migrations);
-  if (r.violations > 0) {
-    std::printf("first violation: %s\n", r.first_violation.c_str());
-    if (!options.reproducer_path.empty()) {
-      std::printf("shrunken reproducer written to %s\n",
-                  options.reproducer_path.c_str());
-    } else {
-      std::printf("shrunken reproducer:\n%s",
-                  webtx::SerializeTwinChaosCase(r.first_reproducer).c_str());
-    }
-    return 1;
-  }
-  return 0;
-}
-
-int RunMintTwin(const std::string& path, uint64_t master_seed) {
-  // Behavioral predicate: the case is deterministic, passes every
-  // invariant, and the divergence guard actually fired — the controller
-  // noticed its shadow model lying and fell back. The pinned replay
-  // regression-tests the whole loop: live serving, forecasting,
-  // reconfiguration, guard, cooldown.
-  const webtx::TwinChaosPredicate guard_fired =
-      [](const webtx::TwinChaosCase& c) {
-        auto first = webtx::RunTwinChaosCase(c);
-        if (!first.ok()) return false;
-        auto second = webtx::RunTwinChaosCase(c);
-        if (!second.ok()) return false;
-        const webtx::rt::TwinReport& report = first.ValueOrDie();
-        return report.digest == second.ValueOrDie().digest &&
-               report.fallbacks >= 1 &&
-               webtx::CheckTwinChaosInvariants(c, report).ok();
-      };
-  for (uint64_t i = 0; i < 10000; ++i) {
-    webtx::TwinChaosCase c = webtx::RandomTwinChaosCase(master_seed, i);
-    // Pin the acceptance scenario: a flash crowd served by an enabled
-    // controller whose snapshot stream is corrupted.
-    c.shape = webtx::LiveArrivalShape::kFlashCrowd;
-    c.controller_enabled = true;
-    if (c.snapshot_corruption == 1.0) c.snapshot_corruption = 8.0;
-    if (!guard_fired(c)) continue;
-    c = webtx::ShrinkTwinChaosCase(c, guard_fired);
-    std::ofstream file(path);
-    file << webtx::SerializeTwinChaosCase(c);
-    if (!file.good()) {
-      std::fprintf(stderr, "chaos: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    const webtx::rt::TwinReport report =
-        webtx::RunTwinChaosCase(c).ValueOrDie();
-    std::printf("minted %s (twin case %llu of seed %llu)\n", path.c_str(),
-                static_cast<unsigned long long>(i),
-                static_cast<unsigned long long>(master_seed));
-    std::printf("tasks             %zu\n", c.num_tasks);
-    std::printf("fallbacks         %zu\n", report.fallbacks);
-    std::printf("twin_digest       %016llx\n",
-                static_cast<unsigned long long>(report.digest));
-    return 0;
-  }
-  std::fprintf(stderr, "chaos: no guard-exercising twin case found\n");
-  return 2;
-}
-
-int RunReplay(const std::string& path) {
+int RunReplayFile(const std::string& path) {
   std::ifstream file(path);
   if (!file) {
     std::fprintf(stderr, "chaos: cannot open %s\n", path.c_str());
@@ -411,195 +270,113 @@ int RunReplay(const std::string& path) {
   }
   std::ostringstream text;
   text << file.rdbuf();
-  // The header names the harness; try the live parser first (it rejects
-  // sim replays on the header line alone).
-  auto live = webtx::ParseLiveChaosReplay(text.str());
-  if (live.ok()) return RunLiveReplay(live.ValueOrDie());
-  const std::string live_error = live.status().ToString();
-  if (live_error.find("not a live chaos replay file") == std::string::npos) {
-    // Right header, malformed body: report the live parser's error
-    // instead of confusing the user with the sim parser's.
-    std::fprintf(stderr, "chaos: %s\n", live_error.c_str());
-    return 2;
+  // The header line names the domain.
+  static const std::pair<const char*, int (*)(const std::string&)>
+      kDomains[] = {{SimChaos::kHeader, RunReplay<SimChaos>},
+                    {LiveChaos::kHeader, RunReplay<LiveChaos>},
+                    {TwinChaos::kHeader, RunReplay<TwinChaos>}};
+  const auto lines = ContentLines(text.str());
+  const std::string header = lines.empty() ? "" : lines[0].second;
+  for (const auto& [domain_header, replay] : kDomains) {
+    if (header == domain_header) return replay(text.str());
   }
-  auto twin = webtx::ParseTwinChaosReplay(text.str());
-  if (twin.ok()) return RunTwinReplay(twin.ValueOrDie());
-  const std::string twin_error = twin.status().ToString();
-  if (twin_error.find("not a twin replay file") == std::string::npos) {
-    std::fprintf(stderr, "chaos: %s\n", twin_error.c_str());
-    return 2;
-  }
-  auto parsed = webtx::ParseChaosReplay(text.str());
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "chaos: %s\n", parsed.status().ToString().c_str());
-    return 2;
-  }
-  const webtx::ChaosCase c = std::move(parsed).ValueOrDie();
-  auto run = webtx::RunChaosCase(c);
-  if (!run.ok()) {
-    std::fprintf(stderr, "chaos: %s\n", run.status().ToString().c_str());
-    return 2;
-  }
-  const webtx::RunResult result = std::move(run).ValueOrDie();
-  std::printf("policy            %s\n", c.policy.c_str());
-  std::printf("transactions      %zu\n", c.num_transactions);
-  std::printf("servers           %zu\n", c.num_servers);
-  std::printf("crashes           %zu\n", result.num_crashes);
-  std::printf("migrations        %zu\n", result.num_migrations);
-  std::printf("aborts            %zu\n", result.num_aborts);
-  std::printf("goodput           %.4f\n", result.goodput);
-  std::printf("schedule_digest   %016llx\n",
-              static_cast<unsigned long long>(webtx::ScheduleDigest(result)));
-  const webtx::Status verdict = webtx::CheckChaosInvariants(c, result);
-  std::printf("validator         %s\n", verdict.ToString().c_str());
-  return verdict.ok() ? 0 : 1;
-}
-
-int RunMint(const std::string& path, uint64_t master_seed) {
-  // Behavioral predicate: the case runs, validates, and still migrates
-  // at least one transaction off a crashed server under cold failover —
-  // the deepest code path (attempt bump, work zeroed, no retry charge).
-  const webtx::ChaosPredicate cold_migrates = [](const webtx::ChaosCase& c) {
-    if (c.fault.migration != webtx::MigrationPolicy::kCold) return false;
-    auto run = webtx::RunChaosCase(c);
-    if (!run.ok()) return false;
-    const webtx::RunResult& result = run.ValueOrDie();
-    return result.num_migrations >= 1 &&
-           webtx::CheckChaosInvariants(c, result).ok();
-  };
-  for (uint64_t i = 0; i < 10000; ++i) {
-    webtx::ChaosCase c = webtx::RandomChaosCase(master_seed, i);
-    if (!cold_migrates(c)) continue;
-    c = webtx::ShrinkChaosCase(c, cold_migrates);
-    std::ofstream file(path);
-    file << webtx::SerializeChaosCase(c);
-    if (!file.good()) {
-      std::fprintf(stderr, "chaos: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    const webtx::RunResult result =
-        webtx::RunChaosCase(c).ValueOrDie();
-    std::printf("minted %s (case %llu of seed %llu)\n", path.c_str(),
-                static_cast<unsigned long long>(i),
-                static_cast<unsigned long long>(master_seed));
-    std::printf("transactions      %zu\n", c.num_transactions);
-    std::printf("migrations        %zu\n", result.num_migrations);
-    std::printf("schedule_digest   %016llx\n",
-                static_cast<unsigned long long>(
-                    webtx::ScheduleDigest(result)));
-    return 0;
-  }
-  std::fprintf(stderr, "chaos: no cold-migration case found\n");
+  std::fprintf(stderr, "chaos: %s: unknown replay header '%s'\n",
+               path.c_str(), header.c_str());
   return 2;
 }
 
-}  // namespace
+// Mints a regression replay: the first randomized case that is
+// deterministic, passes every invariant and hits the domain's mint
+// target, shrunk against that same predicate, written to `path` and
+// then replayed.
+template <typename Domain>
+int RunMint(const std::string& path, uint64_t master_seed) {
+  using Case = typename Domain::Case;
+  const CasePredicate<Case> target = [](const Case& c) {
+    auto r = ReplayCase<Domain>(c);
+    return r.ok() && r.ValueOrDie().deterministic() &&
+           r.ValueOrDie().verdict.ok() && MintTarget(c, r.ValueOrDie().run);
+  };
+  for (uint64_t i = 0; i < 10000; ++i) {
+    Case c = Domain::Random(master_seed, i);
+    PrepareMint(c);
+    if (!target(c)) continue;
+    c = Domain::Shrink(c, target);
+    const Status written = WriteTextFile(path, SerializeReplay<Domain>(c));
+    if (!written.ok()) return Fail(written);
+    std::printf("minted %s (%scase %llu of seed %llu)\n", path.c_str(),
+                Label<Domain>().c_str(), static_cast<unsigned long long>(i),
+                static_cast<unsigned long long>(master_seed));
+    return PrintReplay<Domain>(c);
+  }
+  std::fprintf(stderr, "chaos: no %scase of seed %llu hits the mint target\n",
+               Label<Domain>().c_str(),
+               static_cast<unsigned long long>(master_seed));
+  return 2;
+}
 
-int main(int argc, char** argv) {
-  webtx::ChaosCampaignOptions options;
+int Main(int argc, char** argv) {
+  CampaignOptions options;
+  std::string cases, seed, replay_path, mint_path, mint_live_path,
+      mint_twin_path;
   bool verbose = false;
   bool live = false;
   bool steal = false;
   bool twin = false;
-  std::string replay_path;
-  std::string mint_path;
-  std::string mint_live_path;
-  std::string mint_twin_path;
+  const std::pair<const char*, std::string*> kValueFlags[] = {
+      {"--cases", &cases},
+      {"--seed", &seed},
+      {"--out", &options.reproducer_path},
+      {"--replay", &replay_path},
+      {"--mint", &mint_path},
+      {"--mint-live", &mint_live_path},
+      {"--mint-twin", &mint_twin_path}};
+  const std::pair<const char*, bool*> kSwitches[] = {
+      {"--live", &live},
+      {"--twin", &twin},
+      {"--steal", &steal},
+      {"--verbose", &verbose}};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--cases") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.num_cases = static_cast<size_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.master_seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.reproducer_path = v;
-    } else if (arg == "--replay") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      replay_path = v;
-    } else if (arg == "--mint") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      mint_path = v;
-    } else if (arg == "--mint-live") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      mint_live_path = v;
-    } else if (arg == "--mint-twin") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      mint_twin_path = v;
-    } else if (arg == "--live") {
-      live = true;
-    } else if (arg == "--twin") {
-      twin = true;
-    } else if (arg == "--steal") {
-      steal = true;
-    } else if (arg == "--verbose") {
-      verbose = true;
-    } else {
-      return Usage(argv[0]);
+    bool known = false;
+    for (const auto& [flag, value] : kValueFlags) {
+      if (arg != flag) continue;
+      if (i + 1 == argc) return Usage(argv[0]);
+      *value = argv[++i];
+      known = true;
     }
+    for (const auto& [flag, on] : kSwitches) {
+      if (arg != flag) continue;
+      *on = true;
+      known = true;
+    }
+    if (!known) return Usage(argv[0]);
+  }
+  if (!cases.empty()) {
+    options.num_cases =
+        static_cast<size_t>(std::strtoull(cases.c_str(), nullptr, 10));
+  }
+  if (!seed.empty()) {
+    options.master_seed = std::strtoull(seed.c_str(), nullptr, 10);
   }
 
-  if (!replay_path.empty()) return RunReplay(replay_path);
-  if (!mint_path.empty()) return RunMint(mint_path, options.master_seed);
-  if (!mint_live_path.empty()) {
-    return RunMintLive(mint_live_path, options.master_seed);
+  if (!replay_path.empty()) return RunReplayFile(replay_path);
+  const std::pair<const std::string*, int (*)(const std::string&, uint64_t)>
+      kMints[] = {{&mint_path, RunMint<SimChaos>},
+                  {&mint_live_path, RunMint<LiveChaos>},
+                  {&mint_twin_path, RunMint<TwinChaos>}};
+  for (const auto& [path, mint] : kMints) {
+    if (!path->empty()) return mint(*path, options.master_seed);
   }
-  if (!mint_twin_path.empty()) {
-    return RunMintTwin(mint_twin_path, options.master_seed);
-  }
-  if (live) return RunLiveCampaign(options, verbose);
-  if (twin) return RunTwinCampaign(options, verbose);
-  if (steal) {
-    // Each steal case runs twice (global + sharded); trim the default.
-    const size_t cases = options.num_cases == 200 ? 25 : options.num_cases;
-    return RunStealCampaign(options.master_seed, cases);
-  }
-
-  if (verbose) {
-    options.progress = [](size_t index, const std::string& violation) {
-      if (violation.empty()) {
-        std::fprintf(stderr, "case %zu ok\n", index);
-      } else {
-        std::fprintf(stderr, "case %zu VIOLATION: %s\n", index,
-                     violation.c_str());
-      }
-    };
-  }
-  auto campaign = webtx::RunChaosCampaign(options);
-  if (!campaign.ok()) {
-    std::fprintf(stderr, "chaos: %s\n",
-                 campaign.status().ToString().c_str());
-    return 2;
-  }
-  const webtx::ChaosCampaignResult r = std::move(campaign).ValueOrDie();
-  std::printf("cases             %zu\n", r.cases_run);
-  std::printf("violations        %zu\n", r.violations);
-  std::printf("total_crashes     %zu\n", r.total_crashes);
-  std::printf("total_migrations  %zu\n", r.total_migrations);
-  std::printf("total_aborts      %zu\n", r.total_aborts);
-  std::printf("total_outages     %zu\n", r.total_outages);
-  if (r.violations > 0) {
-    std::printf("first violation: %s\n", r.first_violation.c_str());
-    if (!options.reproducer_path.empty()) {
-      std::printf("shrunken reproducer written to %s\n",
-                  options.reproducer_path.c_str());
-    } else {
-      std::printf("shrunken reproducer:\n%s",
-                  webtx::SerializeChaosCase(r.first_reproducer).c_str());
-    }
-    return 1;
-  }
-  return 0;
+  if (live) return RunCampaignMode<LiveChaos>(options, verbose);
+  if (twin) return RunCampaignMode<TwinChaos>(options, verbose);
+  // Each steal case runs twice (global + sharded): 25 cases by default.
+  const size_t steal_cases = options.num_cases.value_or(25);
+  if (steal) return RunStealCampaign(options.master_seed, steal_cases);
+  return RunCampaignMode<SimChaos>(options, verbose);
 }
+
+}  // namespace
+}  // namespace webtx
+
+int main(int argc, char** argv) { return webtx::Main(argc, argv); }
