@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -106,12 +107,10 @@ std::vector<TransactionSpec> ShardWorkload(size_t servers) {
   return gen.ValueOrDie().Generate(1);
 }
 
-SimOptions ShardOptions(size_t servers, size_t shard_threads,
-                        ShardTiming* timing) {
+SimOptions ShardOptions(size_t servers, size_t shard_threads) {
   SimOptions options;
   options.num_servers = servers;
   options.shard_threads = shard_threads;
-  options.timing = timing;
   // Fault-dense, so every shard carries outage and abort events.
   FaultPlanConfig fault;
   fault.outage_rate = 0.02;
@@ -126,23 +125,19 @@ SimOptions ShardOptions(size_t servers, size_t shard_threads,
   return options;
 }
 
-// Best-of-kShardReps wall-clock of sim.Run (one warmup first). When
-// `timing` is non-null it is zeroed per rep and the snapshot of the best
-// rep is left in *best_timing.
+// Best-of-kShardReps wall-clock of sim.Run (one warmup first).
 template <typename Sim>
-double BestRunMs(Sim& sim, SchedulerPolicy& policy, ShardTiming* timing,
-                 ShardTiming* best_timing, RunFingerprint* fingerprint) {
+double BestRunMs(Sim& sim, SchedulerPolicy& policy,
+                 RunFingerprint* fingerprint) {
   (void)sim.Run(policy);  // warmup
   double best_ms = 0.0;
   for (int rep = 0; rep < kShardReps; ++rep) {
-    if (timing != nullptr) *timing = ShardTiming{};
     const auto t0 = Clock::now();
     const RunResult r = sim.Run(policy);
     const double ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     if (rep == 0 || ms < best_ms) {
       best_ms = ms;
-      if (timing != nullptr && best_timing != nullptr) *best_timing = *timing;
       if (fingerprint != nullptr) *fingerprint = RunFingerprint::Of(r);
     }
   }
@@ -157,12 +152,12 @@ void RunShardSweep(std::vector<bench::BenchRow>& rows, Table& table) {
     // Pre-shard baseline: same workload, same fault plan (the reference
     // ignores the sharding knobs, as the contract requires).
     auto ref = testing::ReferenceSimulator::Create(
-        txns, ShardOptions(servers, 1, nullptr));
+        txns, ShardOptions(servers, 1));
     WEBTX_CHECK(ref.ok()) << ref.status().ToString();
     AsetsStarPolicy ref_policy;
     RunFingerprint ref_fp;
     const double ref_ms =
-        BestRunMs(ref.ValueOrDie(), ref_policy, nullptr, nullptr, &ref_fp);
+        BestRunMs(ref.ValueOrDie(), ref_policy, &ref_fp);
     const std::string servers_cfg = "servers=" + std::to_string(servers);
     rows.push_back({"ext_multi_server", servers_cfg, "reference_wall_ms",
                     ref_ms, "ms"});
@@ -170,13 +165,11 @@ void RunShardSweep(std::vector<bench::BenchRow>& rows, Table& table) {
     std::vector<double> table_row = {ref_ms};
     double t1_ms = 0.0;
     for (const size_t threads : thread_counts) {
-      auto sim = Simulator::Create(
-          txns, ShardOptions(servers, threads, nullptr));
+      auto sim = Simulator::Create(txns, ShardOptions(servers, threads));
       WEBTX_CHECK(sim.ok()) << sim.status().ToString();
       AsetsStarPolicy policy;
       RunFingerprint fp;
-      const double ms =
-          BestRunMs(sim.ValueOrDie(), policy, nullptr, nullptr, &fp);
+      const double ms = BestRunMs(sim.ValueOrDie(), policy, &fp);
       WEBTX_CHECK(fp == ref_fp)
           << "sharded run diverged from the reference at servers=" << servers
           << " shard_threads=" << threads;
@@ -207,9 +200,8 @@ void RunShardSweep(std::vector<bench::BenchRow>& rows, Table& table) {
 // deterministic work stealing) vs the global-state ASETS*, across
 // num_servers x shard_threads. Every sharded cell is fingerprint-checked
 // against the global run first — the steal protocol must never change
-// the schedule — and the new ShardTiming fields break the cost out:
-// policy_wait_ms is the wall time inside the per-event scheduling round,
-// steal_count the cross-shard entry moves the run performed.
+// the schedule — and steal_count, read from the policy after the run,
+// reports the cross-shard entry moves the run performed.
 
 void RunShardedPolicySweep(std::vector<bench::BenchRow>& rows, Table& table) {
   const std::vector<size_t> thread_counts = {2, 8};
@@ -222,18 +214,12 @@ void RunShardedPolicySweep(std::vector<bench::BenchRow>& rows, Table& table) {
     // serial, so this pair is the no-regression gate; sequential
     // best-of-N blocks drift apart by several percent on a loaded
     // one-core host, while alternating reps sees the same host state.
-    ShardTiming g_timing;
-    ShardTiming s1_timing;
-    auto gsim =
-        Simulator::Create(txns, ShardOptions(servers, 1, &g_timing));
+    auto gsim = Simulator::Create(txns, ShardOptions(servers, 1));
     WEBTX_CHECK(gsim.ok()) << gsim.status().ToString();
-    auto s1sim =
-        Simulator::Create(txns, ShardOptions(servers, 1, &s1_timing));
+    auto s1sim = Simulator::Create(txns, ShardOptions(servers, 1));
     WEBTX_CHECK(s1sim.ok()) << s1sim.status().ToString();
     AsetsStarPolicy global;
     AsetsStarShardedPolicy sharded_t1;
-    ShardTiming g_best;
-    ShardTiming s1_best;
     RunFingerprint g_fp;
     RunFingerprint s1_fp;
     double global_ms = 0.0;
@@ -243,7 +229,6 @@ void RunShardedPolicySweep(std::vector<bench::BenchRow>& rows, Table& table) {
     (void)gsim.ValueOrDie().Run(global);      // warmups
     (void)s1sim.ValueOrDie().Run(sharded_t1);
     for (int rep = 0; rep < kShardPairedReps; ++rep) {
-      g_timing = ShardTiming{};
       auto t0 = Clock::now();
       const RunResult gr = gsim.ValueOrDie().Run(global);
       const double g_ms =
@@ -251,10 +236,8 @@ void RunShardedPolicySweep(std::vector<bench::BenchRow>& rows, Table& table) {
               .count();
       if (rep == 0 || g_ms < global_ms) {
         global_ms = g_ms;
-        g_best = g_timing;
         g_fp = RunFingerprint::Of(gr);
       }
-      s1_timing = ShardTiming{};
       t0 = Clock::now();
       const RunResult sr = s1sim.ValueOrDie().Run(sharded_t1);
       const double s_ms =
@@ -262,7 +245,6 @@ void RunShardedPolicySweep(std::vector<bench::BenchRow>& rows, Table& table) {
               .count();
       if (rep == 0 || s_ms < t1_ms) {
         t1_ms = s_ms;
-        s1_best = s1_timing;
         s1_fp = RunFingerprint::Of(sr);
       }
       pair_ratios.push_back(g_ms / s_ms);
@@ -279,30 +261,24 @@ void RunShardedPolicySweep(std::vector<bench::BenchRow>& rows, Table& table) {
     const std::string global_cfg = servers_cfg + " policy=global";
     rows.push_back(
         {"ext_multi_server", global_cfg, "wall_ms", global_ms, "ms"});
-    rows.push_back({"ext_multi_server", global_cfg, "policy_wait_ms",
-                    g_best.policy_wait_ms, "ms"});
     const std::string t1_cfg = servers_cfg + " threads=1 policy=sharded";
     rows.push_back({"ext_multi_server", t1_cfg, "wall_ms", t1_ms, "ms"});
     rows.push_back({"ext_multi_server", t1_cfg, "sharded_vs_global",
                     t1_ratio, "x"});
-    rows.push_back({"ext_multi_server", t1_cfg, "policy_wait_ms",
-                    s1_best.policy_wait_ms, "ms"});
+    // Every rep replays the same schedule, so the last run's steals are
+    // every rep's.
     rows.push_back({"ext_multi_server", t1_cfg, "steal_count",
-                    static_cast<double>(s1_best.steal_count), "steals"});
+                    static_cast<double>(sharded_t1.steal_count()), "steals"});
 
     std::vector<double> table_row = {global_ms, t1_ms};
     double t8_ms = 0.0;
-    ShardTiming t8_best;
+    uint64_t t8_steals = 0;
     for (const size_t threads : thread_counts) {
-      ShardTiming timing;
-      auto sim =
-          Simulator::Create(txns, ShardOptions(servers, threads, &timing));
+      auto sim = Simulator::Create(txns, ShardOptions(servers, threads));
       WEBTX_CHECK(sim.ok()) << sim.status().ToString();
       AsetsStarShardedPolicy policy;
-      ShardTiming best;
       RunFingerprint fp;
-      const double ms =
-          BestRunMs(sim.ValueOrDie(), policy, &timing, &best, &fp);
+      const double ms = BestRunMs(sim.ValueOrDie(), policy, &fp);
       WEBTX_CHECK(fp == g_fp)
           << "sharded policy diverged from the global state at servers="
           << servers << " shard_threads=" << threads;
@@ -312,14 +288,12 @@ void RunShardedPolicySweep(std::vector<bench::BenchRow>& rows, Table& table) {
       rows.push_back({"ext_multi_server", cfg, "wall_ms", ms, "ms"});
       rows.push_back({"ext_multi_server", cfg, "sharded_vs_global",
                       global_ms / ms, "x"});
-      rows.push_back({"ext_multi_server", cfg, "policy_wait_ms",
-                      best.policy_wait_ms, "ms"});
       rows.push_back({"ext_multi_server", cfg, "steal_count",
-                      static_cast<double>(best.steal_count), "steals"});
+                      static_cast<double>(policy.steal_count()), "steals"});
       table_row.push_back(ms);
       if (threads == 8) {
         t8_ms = ms;
-        t8_best = best;
+        t8_steals = policy.steal_count();
       }
     }
     if (t1_ms >= kMinSpeedupMs && t8_ms >= kMinSpeedupMs) {
@@ -331,8 +305,7 @@ void RunShardedPolicySweep(std::vector<bench::BenchRow>& rows, Table& table) {
                 << " ms floor)\n";
     }
     table_row.push_back(t1_ratio);
-    table_row.push_back(t8_best.policy_wait_ms);
-    table_row.push_back(static_cast<double>(t8_best.steal_count));
+    table_row.push_back(static_cast<double>(t8_steals));
     table.AddNumericRow(std::to_string(servers), table_row);
   }
 }
@@ -372,11 +345,10 @@ int main() {
                "best of "
             << webtx::kShardPairedReps
             << " paired\nreps; every sharded cell fingerprint-checked "
-               "against the global run;\npolicy/steal columns are the "
-               "shard-threads=8 accounting):\n\n";
+               "against the global run;\nthe steals column is the "
+               "shard-threads=8 run's):\n\n";
   webtx::Table policy_table({"servers", "global ms", "t=1 ms", "t=2 ms",
-                             "t=8 ms", "sharded t=1", "policy ms",
-                             "steals"});
+                             "t=8 ms", "sharded t=1", "steals"});
   webtx::RunShardedPolicySweep(rows, policy_table);
   policy_table.Print(std::cout);
   webtx::bench::SaveCsv(policy_table, "ext_multi_server_sharded_policy");
@@ -385,9 +357,9 @@ int main() {
       << "\nHost has " << std::thread::hardware_concurrency()
       << " hardware thread(s). The event-loop sweep runs the global-state "
          "ASETS*, which\nhands shard threads no work, so its meaningful "
-         "series is the sharded loop vs\nthe pre-shard reference — "
-         "incremental fault heads and epoch-stamped pick\nassignment do "
-         "the work the reference re-scans for. Every cell above is\n"
+         "series is the production loop vs\nthe frozen reference — "
+         "cached per-shard fault heads and PickBatch do the\nwork the "
+         "reference re-scans for. Every cell above is\n"
          "fingerprint-checked against the reference run: shard_threads "
          "never changes\nresults.\n";
   return 0;

@@ -30,14 +30,13 @@ class ThreadPool;
 ///      before any event; a policy whose BindShards is never called
 ///      behaves exactly like its global-state twin (one shard).
 ///   2. `PrepareRound(now, pool)` at the top of each multi-server
-///      scheduling round, before the first PickNextExcluding; policies
+///      scheduling round, before the round's PickBatch; policies
 ///      with deferred per-shard maintenance (ASETS* dirty flushes) may
 ///      fan it out on `pool`. Only invoked when a shard pool exists —
 ///      serial runs skip the hook and policies flush lazily in PickNext.
 ///   3. `OnPlaced(id, server, now)` for every transaction newly
-///      dispatched this round, in ascending server order — the same
-///      deterministic (time, shard, seq) discipline as the PR 5
-///      cross-shard crash mailbox. Crash-migration rebinds and
+///      dispatched this round, in ascending server order, so
+///      cross-shard moves replay identically. Crash-migration rebinds and
 ///      admission-deferred re-entries need no extra hook: the victim
 ///      re-enters via OnReady into its owner shard and is re-homed by
 ///      the OnPlaced of its next dispatch.

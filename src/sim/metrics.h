@@ -61,19 +61,6 @@ struct ScheduleSegment {
   uint32_t attempt = 0;
 };
 
-/// Wall-clock accounting of the sharded simulator's scheduling rounds,
-/// accumulated across Runs when SimOptions::timing points here (results
-/// are never affected — this is bench plumbing for
-/// bench/ext_multi_server). `policy_wait_ms` is the wall time the event
-/// loop spent inside the per-event scheduling round (policy consultation
-/// + pick assignment); `steal_count` is the number of cross-shard entry
-/// moves a sharded-state policy performed (always 0 for global-state
-/// policies; see ShardedPolicyState).
-struct ShardTiming {
-  double policy_wait_ms = 0.0;
-  uint64_t steal_count = 0;
-};
-
 /// Aggregated result of one simulated run under one policy.
 ///
 /// Failure-aware accounting: tardiness / response aggregates are taken
@@ -138,20 +125,12 @@ struct RunResult {
   size_t num_preemptions = 0;
   size_t num_idle_decisions = 0;
 
-  /// Fills the aggregate fields from `outcomes` and the specs. Called by
-  /// the simulator; exposed for tests and trace post-processing.
+  /// Fills the aggregate fields from `outcomes` and the specs and keeps
+  /// `outcomes` in the result. Used by the frozen reference simulator,
+  /// tests and trace post-processing.
   static RunResult FromOutcomes(std::string policy_name,
                                 const std::vector<TransactionSpec>& specs,
                                 std::vector<TxnOutcome> outcomes);
-
-  /// As FromOutcomes, but leaves `outcomes` with the caller and returns
-  /// a result whose `outcomes` vector is empty — the record_outcomes
-  /// = false path, where stealing the buffer would defeat a pooled
-  /// simulator's scratch reuse. Aggregates are bit-identical to
-  /// FromOutcomes of the same data.
-  static RunResult FromOutcomesView(std::string policy_name,
-                                    const std::vector<TransactionSpec>& specs,
-                                    const std::vector<TxnOutcome>& outcomes);
 
   /// Aggregates a horizon-bounded run (SimOptions::run_horizon): only
   /// transactions with resolved[i] != 0 reached a terminal fate before
@@ -161,7 +140,9 @@ struct RunResult {
   /// as a zero-tardiness completion). Unresolved transactions count
   /// against goodput and the miss ratio and stay out of the tardiness /
   /// response aggregates — a ranking signal over identical cutoffs, not
-  /// a prefix of the unbounded run's metrics.
+  /// a prefix of the unbounded run's metrics. With every entry of
+  /// `resolved` set, the aggregates equal FromOutcomes' and `outcomes`
+  /// stays with the caller (the result's `outcomes` vector is empty).
   static RunResult FromPrefixOutcomes(std::string policy_name,
                                       const std::vector<TransactionSpec>& specs,
                                       const std::vector<TxnOutcome>& outcomes,

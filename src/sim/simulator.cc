@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <string>
@@ -40,12 +39,10 @@ class PendingQueue {
 
 }  // namespace
 
-/// Everything Run() used to stack-allocate per call, hoisted into a
-/// lazily built, warm-reused arena: a pooled simulator (the twin keeps
-/// one per candidate slot) re-runs every control tick with zero
-/// steady-state allocations. Each field is re-initialized at the top of
-/// Run to exactly the value its former local had, so results are
-/// byte-identical to the per-call layout.
+/// Run's per-call buffers in a lazily built, warm-reused arena: a pooled
+/// simulator (the twin keeps one per candidate slot) re-runs every
+/// control tick with zero steady-state allocations. Run re-initializes
+/// every field at its top, so no state leaks from one run to the next.
 struct Simulator::RunScratch {
   std::vector<TxnOutcome> outcomes;
   std::vector<FaultStream> fault_streams;
@@ -61,10 +58,6 @@ struct Simulator::RunScratch {
   std::vector<TxnId> next_running;
   std::vector<char> pick_taken;
   std::vector<std::pair<TxnId, TxnFate>> resolve_stack;
-  std::vector<internal::ShardMessage> mailbox;
-  std::vector<uint64_t> pick_stamp;
-  std::vector<uint64_t> placed_stamp;
-  std::vector<uint32_t> pick_slot;
   std::vector<OutageWindow> outages;
   std::vector<OutageWindow> crashes;
 };
@@ -189,9 +182,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   const std::vector<TxnId>& arrival_order = workload_->arrival_order();
   const size_t n = specs.size();
   const size_t k = options_.num_servers;
-  // All per-run buffers live in the warm-reused scratch arena; each is
-  // re-initialized here to exactly the value its former per-call local
-  // had (the references keep the event loop below textually unchanged).
+  // All per-run buffers live in the warm-reused scratch arena and are
+  // re-initialized here.
   if (!scratch_) scratch_ = std::make_unique<RunScratch>();
   RunScratch& sc = *scratch_;
   std::vector<TxnOutcome>& outcomes = sc.outcomes;
@@ -203,7 +195,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   // virtual calls per scheduling point.
   const bool wants_remaining = policy.WantsRemainingUpdates();
   const SimTime run_horizon = options_.run_horizon;
-  bool horizon_cut = false;
   const bool correlated =
       options_.fault_plan.config().correlated_crash_prob > 0.0;
   // A sharded-state policy fans its per-shard round maintenance out on
@@ -234,10 +225,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   }
 
   // The head fault event of each shard: the EventBefore-least of its
-  // outage, crash, and abort processes. O(1) to refresh when one of the
-  // shard's processes advances — the pre-shard simulator instead
-  // rescanned every stream per fault type on every fault event
-  // (tests/testing/reference_simulator.h).
+  // outage, crash, and abort processes, cached so the head scan reads
+  // one entry per shard and only the advanced shard is refreshed.
   std::vector<SimTime>& fault_time = sc.fault_time;
   fault_time.assign(k, kNever);
   std::vector<internal::ShardEventClass>& fault_cls = sc.fault_cls;
@@ -261,8 +250,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   };
   // Schedulable-pool size exposed to admission controllers via
   // num_servers_up(), maintained incrementally from the shards' down
-  // bits (the pre-shard simulator recounted all k streams per fault
-  // event).
+  // bits.
   num_up_ = k;
   std::vector<char>& down = sc.down;
   down.assign(k, 0);
@@ -314,32 +302,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   std::vector<std::pair<TxnId, TxnFate>>& resolve_stack = sc.resolve_stack;
   resolve_stack.clear();
   resolve_stack.reserve(n);
-  // Cross-shard mailbox: the handoffs of one crash instant (the
-  // crashing shard's own migration back into the global ready set, then
-  // correlated victims), drained in MessageBefore (time, origin, seq)
-  // order — by construction the enqueue order, DCHECKed at drain.
-  std::vector<internal::ShardMessage>& mailbox = sc.mailbox;
-  mailbox.clear();
-  mailbox.reserve(k);
-  // Epoch-stamped pick-assignment lookup: a stamp equal to the current
-  // scheduling round marks "picked this round" / "placed this round"
-  // without any clearing between rounds. Replaces the pre-shard O(k^2)
-  // std::find matching of picks to servers with O(k). The stamps MUST
-  // be zeroed per run — the round counter restarts at 1 every run, so a
-  // stale stamp from a previous run would alias a fresh round.
-  std::vector<uint64_t>& pick_stamp = sc.pick_stamp;
-  pick_stamp.assign(n, 0);
-  std::vector<uint64_t>& placed_stamp = sc.placed_stamp;
-  placed_stamp.assign(n, 0);
-  std::vector<uint32_t>& pick_slot = sc.pick_slot;
-  pick_slot.assign(n, 0);
   SimTime now = 0.0;
   size_t scheduling_points = 0;
-  // Wall-clock attribution of the scheduling rounds (policy consultation
-  // + pick assignment) — bench plumbing, only sampled when a timing sink
-  // is configured, never affects results.
-  const bool time_policy = options_.timing != nullptr;
-  double policy_wait_ms = 0.0;
   size_t preemptions = 0;
   size_t idle_decisions = 0;
   size_t retries = 0;
@@ -478,9 +442,9 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
     // remaining (caching it at dispatch would diverge in ulps because
     // charge_progress re-rounds the remaining at every event), its fault
     // head cached — followed by the global pending and arrival events
-    // (shard = k). The (time, class, shard) key reproduces the pre-shard
-    // per-type scan chains exactly: the least class among the events at
-    // the minimum time wins, then the lowest shard.
+    // (shard = k). The (time, class, shard) key orders ties exactly as
+    // the failure-semantics contract says: the least class among the
+    // events at the minimum time wins, then the lowest shard.
     internal::ShardEvent best{kNever, internal::ShardEventClass::kArrival,
                               static_cast<uint32_t>(k)};
     bool any_running = false;
@@ -521,7 +485,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
     // everything unresolved stays unresolved and is aggregated as such
     // below (FromPrefixOutcomes).
     if (run_horizon > 0.0 && best.time > run_horizon) {
-      horizon_cut = true;
       break;
     }
 
@@ -588,53 +551,29 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
         FaultStream& src = fault_streams[cs];
         if (!src.crashed()) {
           // Natural crash instant: fell the shard for its pre-drawn
-          // repair window, then route this instant's handoffs through
-          // the mailbox — the shard's own migration back into the
-          // global ready set first, then (correlated mode) victims on
-          // other shards in ascending order; a hit on an
-          // already-crashed shard extends its repair window, recorded
-          // as its own window so the union stays the exact downtime.
-          // Enqueue then drain keeps the sequence identical to the
-          // pre-shard handling of a crash instant.
+          // repair window and migrate its running transaction, then
+          // (correlated mode) fell victims on the other shards in
+          // ascending order; a hit on an already-crashed shard extends
+          // its repair window, recorded as its own window so the union
+          // stays the exact downtime.
           const SimTime repaired = src.repair_end();
           src.AdvanceCrashTransition();
           crashes.push_back(
               OutageWindow{static_cast<uint32_t>(cs), now, repaired});
           total_repair_time += repaired - now;
-          mailbox.clear();
-          uint32_t seq = 0;
-          mailbox.push_back(internal::ShardMessage{
-              now, static_cast<uint32_t>(cs), seq++,
-              internal::ShardMessage::Kind::kMigrate,
-              static_cast<uint32_t>(cs), 0.0});
+          migrate(cs, now);
           if (correlated) {
             for (size_t s = 0; s < k; ++s) {
               if (s == cs) continue;
               SimTime repair_duration = 0.0;
-              if (!src.DrawCorrelatedVictim(&repair_duration)) {
-                continue;
-              }
-              mailbox.push_back(internal::ShardMessage{
-                  now, static_cast<uint32_t>(cs), seq++,
-                  internal::ShardMessage::Kind::kForceCrash,
-                  static_cast<uint32_t>(s), repair_duration});
-            }
-          }
-          for (size_t m = 0; m < mailbox.size(); ++m) {
-            const internal::ShardMessage& msg = mailbox[m];
-            WEBTX_DCHECK(m == 0 ||
-                         internal::MessageBefore(mailbox[m - 1], msg));
-            if (msg.kind == internal::ShardMessage::Kind::kMigrate) {
-              migrate(msg.victim, msg.time);
-            } else {
-              crashes.push_back(OutageWindow{
-                  msg.victim, msg.time, msg.time + msg.repair_duration});
-              total_repair_time += msg.repair_duration;
-              migrate(msg.victim, msg.time);
-              fault_streams[msg.victim].ForceCrash(msg.time,
-                                                   msg.repair_duration);
-              refresh_fault_head(msg.victim);
-              sync_down(msg.victim);
+              if (!src.DrawCorrelatedVictim(&repair_duration)) continue;
+              crashes.push_back(OutageWindow{static_cast<uint32_t>(s), now,
+                                             now + repair_duration});
+              total_repair_time += repair_duration;
+              migrate(s, now);
+              fault_streams[s].ForceCrash(now, repair_duration);
+              refresh_fault_head(s);
+              sync_down(s);
             }
           }
         } else {
@@ -728,8 +667,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
     // servers are (re)filled greedily; the policy sees the transactions
     // already placed this round as excluded. Down servers take no work.
     ++scheduling_points;
-    std::chrono::steady_clock::time_point round_start;
-    if (time_policy) round_start = std::chrono::steady_clock::now();
 
     // Single-server fast path: one pick, no assignment matching. The
     // documented PickNextExcluding contract (empty exclude == PickNext)
@@ -759,11 +696,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
           segment_start[0] = dispatch_time[0];
         }
         running[0] = pick;
-      }
-      if (time_policy) {
-        policy_wait_ms += std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - round_start)
-                              .count();
       }
       continue;
     }
@@ -801,24 +733,17 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
     if (picks.empty() && k_up > 0) ++idle_decisions;
 
     // Assign picks to servers, keeping continuing transactions in
-    // place. The epoch-stamped lookup (stamp == this round means
-    // "picked this round") makes the barrier step over shard heads O(k)
-    // where the pre-shard simulator paid O(k^2) in std::find scans; the
-    // picks being distinct and the running transactions being distinct
-    // makes it decision-identical.
-    const uint64_t round = static_cast<uint64_t>(scheduling_points);
-    for (size_t p = 0; p < picks.size(); ++p) {
-      pick_stamp[picks[p]] = round;
-      pick_slot[picks[p]] = static_cast<uint32_t>(p);
-    }
+    // place; the rest fill the free up servers in pick order.
     next_running.assign(k, kInvalidTxn);
     pick_taken.assign(picks.size(), 0);
     for (size_t s = 0; s < k; ++s) {
-      const TxnId r = running[s];
-      if (r == kInvalidTxn) continue;
-      if (pick_stamp[r] == round && !pick_taken[pick_slot[r]]) {
-        next_running[s] = r;
-        pick_taken[pick_slot[r]] = 1;
+      if (running[s] == kInvalidTxn) continue;
+      for (size_t p = 0; p < picks.size(); ++p) {
+        if (!pick_taken[p] && picks[p] == running[s]) {
+          next_running[s] = running[s];
+          pick_taken[p] = 1;
+          break;
+        }
       }
     }
     {
@@ -833,13 +758,10 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       }
     }
     for (size_t s = 0; s < k; ++s) {
-      if (next_running[s] != kInvalidTxn) {
-        placed_stamp[next_running[s]] = round;
-      }
-    }
-    for (size_t s = 0; s < k; ++s) {
+      // A continuing transaction keeps its server, so a running one that
+      // is not next_running[s] was not placed this round.
       if (running[s] != kInvalidTxn && !finished_[running[s]] &&
-          placed_stamp[running[s]] != round) {
+          next_running[s] != running[s]) {
         ++preemptions;
       }
       if (next_running[s] != running[s]) {
@@ -849,9 +771,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
           segment_start[s] = dispatch_time[s];
           // Steal/handoff point of the sharded-state protocol: newly
           // dispatched transactions are announced in ascending server
-          // order — the same deterministic (time, shard, seq) discipline
-          // as the crash mailbox — so cross-shard moves replay
-          // identically run to run.
+          // order, so cross-shard moves replay identically run to run.
           if (sharded != nullptr) {
             sharded->OnPlaced(next_running[s], static_cast<uint32_t>(s), now);
           }
@@ -859,35 +779,16 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       }
       running[s] = next_running[s];
     }
-    if (time_policy) {
-      policy_wait_ms += std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - round_start)
-                            .count();
-    }
   }
 
-  if (options_.timing != nullptr) {
-    options_.timing->policy_wait_ms += policy_wait_ms;
-    if (sharded != nullptr) {
-      options_.timing->steal_count += sharded->steal_count();
-    }
-  }
-
-  // record_outcomes steals the scratch outcomes buffer into the result
-  // (the caller keeps the arrays); the view path aggregates in place and
-  // leaves the buffer with the scratch arena for the next run. A
-  // horizon-bounded run must not read unresolved outcomes (their fate
-  // field is default-initialized), so it takes the prefix aggregator.
-  RunResult result;
-  if (horizon_cut) {
-    result =
-        RunResult::FromPrefixOutcomes(policy.name(), specs, outcomes, finished_);
-    if (options_.record_outcomes) result.outcomes = std::move(outcomes);
-  } else if (options_.record_outcomes) {
-    result = RunResult::FromOutcomes(policy.name(), specs, std::move(outcomes));
-  } else {
-    result = RunResult::FromOutcomesView(policy.name(), specs, outcomes);
-  }
+  // Aggregate in place over the finished mask: a horizon-bounded run
+  // must not read unresolved outcomes (their fate field is
+  // default-initialized), and on a complete run every flag is set.
+  // record_outcomes then steals the scratch buffer into the result;
+  // otherwise it stays with the scratch arena for the next run.
+  RunResult result =
+      RunResult::FromPrefixOutcomes(policy.name(), specs, outcomes, finished_);
+  if (options_.record_outcomes) result.outcomes = std::move(outcomes);
   result.num_scheduling_points = scheduling_points;
   result.num_preemptions = preemptions;
   result.num_idle_decisions = idle_decisions;

@@ -81,31 +81,6 @@ constexpr bool EventBefore(const ShardEvent& a, const ShardEvent& b) {
   return a.shard < b.shard;
 }
 
-/// A message in the cross-shard mailbox: work a crashing shard hands to
-/// another shard at one instant — migrating its own running transaction
-/// back into the global ready set, or felling a correlated victim. The
-/// mailbox is drained in MessageBefore order, which (all messages of one
-/// crash instant sharing `time` and `origin`) is exactly the enqueue
-/// sequence: the origin's own migration first, then correlated victims
-/// in ascending server order — replicating the pre-shard handling of a
-/// crash instant byte for byte.
-struct ShardMessage {
-  SimTime time = 0.0;
-  uint32_t origin = 0;  // the crashing shard
-  uint32_t seq = 0;     // enqueue ordinal within the instant
-  enum class Kind : uint8_t { kMigrate = 0, kForceCrash = 1 } kind =
-      Kind::kMigrate;
-  uint32_t victim = 0;            // shard acted upon
-  SimTime repair_duration = 0.0;  // kForceCrash only
-};
-
-/// Strict drain order over mailbox messages.
-constexpr bool MessageBefore(const ShardMessage& a, const ShardMessage& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.origin != b.origin) return a.origin < b.origin;
-  return a.seq < b.seq;
-}
-
 }  // namespace internal
 
 /// Simulator knobs. The defaults model the paper's testbed: a single
@@ -122,10 +97,10 @@ struct SimOptions {
   /// Gantt rendering and independent schedule validation.
   bool record_schedule = false;
   /// Number of parallel servers (back-end database workers). The paper
-  /// evaluates a single server; k > 1 is an extension — the policy is
-  /// consulted greedily via PickNextExcluding for each free server, so
-  /// only policies overriding that hook support k > 1 (all shipped
-  /// policies do).
+  /// evaluates a single server; k > 1 is an extension — the policy fills
+  /// the up servers with one PickBatch round per scheduling point, so
+  /// only policies overriding PickNextExcluding (PickBatch's default
+  /// chain) support k > 1 (all shipped policies do).
   size_t num_servers = 1;
   /// Deterministic fault injection (server outages, transaction aborts).
   /// The default plan is disabled; see the failure-semantics contract on
@@ -147,12 +122,6 @@ struct SimOptions {
   /// tests/sim/sharded_differential_test.cc against the frozen pre-shard
   /// simulator in tests/testing/reference_simulator.h.
   size_t shard_threads = 1;
-  /// Optional wall-clock accounting sink for the sharded loop's
-  /// scheduling rounds (accumulated across runs; bench plumbing, never
-  /// affects results). The pointee must outlive every Run; leave
-  /// null in parallel sweeps — RunInstances nulls it in its per-worker
-  /// option copies.
-  ShardTiming* timing = nullptr;
   /// Simulated-time cutoff (0 = run to completion, the default). When
   /// > 0, Run stops before processing the first event past this instant
   /// and aggregates via RunResult::FromPrefixOutcomes: transactions

@@ -7,7 +7,9 @@
 // loop, never observable in results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,10 @@ namespace webtx {
 namespace {
 
 constexpr size_t kServers[] = {1, 2, 4, 8};
+// A wide pool: the one size where a scheduling round places many picks
+// at once and a correlated crash instant fells many victims, so it is
+// loaded per server (0.8 each) rather than at the fixed 0.9 total.
+constexpr size_t kWideServers = 32;
 constexpr size_t kShardThreads[] = {1, 2, 4, 8};
 
 std::vector<TransactionSpec> MakeWorkload(bool workflows, uint64_t seed,
@@ -134,13 +140,16 @@ RunResult RunSharded(const std::vector<TransactionSpec>& txns,
 
 void RunMatrix(Regime regime) {
   const std::vector<std::string> specs = PolicySpecs();
+  std::vector<size_t> pool_sizes(std::begin(kServers), std::end(kServers));
+  pool_sizes.push_back(kWideServers);
   for (const bool workflows : {false, true}) {
-    for (const size_t servers : kServers) {
+    for (const size_t servers : pool_sizes) {
       // The huge_workflow shape loads every server to 0.8, so admission
       // sheds at every pool size.
-      const double utilization = regime == Regime::kHugeWorkflow
-                                     ? 0.8 * static_cast<double>(servers)
-                                     : 0.9;
+      const double utilization =
+          regime == Regime::kHugeWorkflow || servers == kWideServers
+              ? 0.8 * static_cast<double>(servers)
+              : 0.9;
       const std::vector<TransactionSpec> txns = MakeWorkload(
           workflows, 7u + servers + (workflows ? 100u : 0u), utilization);
       const SimOptions options = RegimeOptions(regime, servers);
@@ -168,6 +177,32 @@ TEST(ShardedDifferentialTest, CrashyMatrix) { RunMatrix(Regime::kCrashy); }
 
 TEST(ShardedDifferentialTest, CorrelatedCrashMatrix) {
   RunMatrix(Regime::kCorrelated);
+  // The wide cells must actually place many picks in one round and fell
+  // many victims at one crash instant, or they prove nothing about the
+  // pick matching and the victim loop at k > 8.
+  const RunResult r = RunSharded(
+      MakeWorkload(true, 7u + kWideServers + 100u,
+                   0.8 * static_cast<double>(kWideServers)),
+      RegimeOptions(Regime::kCorrelated, kWideServers), "ASETS*", 1);
+  size_t widest_crash = 0;
+  for (const OutageWindow& w : r.crashes) {
+    widest_crash = std::max<size_t>(
+        widest_crash,
+        std::count_if(r.crashes.begin(), r.crashes.end(),
+                      [&](const OutageWindow& o) { return o.start == w.start; }));
+  }
+  size_t busiest_round = 0;  // servers running at one instant = picks
+  for (const ScheduleSegment& seg : r.schedule) {
+    busiest_round = std::max<size_t>(
+        busiest_round,
+        std::count_if(r.schedule.begin(), r.schedule.end(),
+                      [&](const ScheduleSegment& o) {
+                        return o.start <= seg.start && seg.start < o.end;
+                      }));
+  }
+  EXPECT_GE(widest_crash, 4u);
+  EXPECT_GT(busiest_round, 8u);
+  EXPECT_GT(r.num_migrations, 0u);
 }
 
 TEST(ShardedDifferentialTest, HugeWorkflowShapeMatrix) {
@@ -275,24 +310,24 @@ TEST(ShardedPolicyDifferentialTest, StealMatrixCorrelatedCrashes) {
 }
 
 // The steal protocol must actually engage on contended multi-server
-// runs (a matrix that never steals proves nothing), and its accounting
-// must land in ShardTiming — with the global-state twin reporting zero.
+// runs (a matrix that never steals proves nothing); the global-state
+// twin has no sharded state to steal with.
 TEST(ShardedPolicyDifferentialTest, StealProtocolEngagesAndIsAccounted) {
   const std::vector<TransactionSpec> txns = MakeStealHeavyWorkload(5);
+  const SimOptions options = RegimeOptions(Regime::kCrashy, 4);
   for (const char* spec : {"SRPT-sharded", "ASETS*-sharded"}) {
-    SimOptions options = RegimeOptions(Regime::kCrashy, 4);
-    ShardTiming timing;
-    options.timing = &timing;
-    RunSharded(txns, options, spec, 1);
-    EXPECT_GT(timing.steal_count, 0u)
+    auto sim = Simulator::Create(txns, options);
+    ASSERT_TRUE(sim.ok()) << sim.status();
+    auto policy = CreatePolicy(spec);
+    ASSERT_TRUE(policy.ok()) << policy.status();
+    sim.ValueOrDie().Run(*policy.ValueOrDie());
+    ASSERT_NE(policy.ValueOrDie()->AsShardedState(), nullptr) << spec;
+    EXPECT_GT(policy.ValueOrDie()->AsShardedState()->steal_count(), 0u)
         << spec << " never stole on a contended 4-server run";
-    EXPECT_GT(timing.policy_wait_ms, 0.0);
   }
-  SimOptions options = RegimeOptions(Regime::kCrashy, 4);
-  ShardTiming timing;
-  options.timing = &timing;
-  RunSharded(txns, options, "SRPT", 1);
-  EXPECT_EQ(timing.steal_count, 0u);
+  auto global = CreatePolicy("SRPT");
+  ASSERT_TRUE(global.ok()) << global.status();
+  EXPECT_EQ(global.ValueOrDie()->AsShardedState(), nullptr);
 }
 
 }  // namespace
