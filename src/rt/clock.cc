@@ -14,8 +14,9 @@ namespace {
 /// no accounting) without widening the call signatures.
 thread_local const VirtualClock* tls_registered_clock = nullptr;
 
-/// Wake-up backstop for waits on condition variables the virtual clock
-/// cannot notify. Wall-clock latency only; never affects virtual time.
+/// Wake-up backstop for a WaitUntil whose due-reached notify fired
+/// before the caller parked. Wall-clock latency only; never affects
+/// virtual time.
 constexpr std::chrono::microseconds kVirtualPoll{500};
 
 std::chrono::steady_clock::duration ToDuration(double seconds) {
@@ -89,14 +90,40 @@ void VirtualClock::MaybeAdvanceLocked() {
     // has work to do at the CURRENT time; advancing would timestamp
     // that work by host-scheduling luck.
     const uint64_t current =
-        entry.cv != nullptr ? EpochOfLocked(entry.cv) : sleeper_epoch_;
+        entry.sleeper ? sleeper_epoch_ : EpochOfLocked(entry.cv);
     if (entry.epoch != current) return;
+    // A sleeper whose token tripped (a deadline before its due) returns
+    // at the current time; it holds the timeline like a reached due. The
+    // notify covers a flag set without InterruptSleepers.
+    if (entry.token != nullptr && entry.token->CancelledAt(now_)) {
+      entry.cv->notify_all();
+      return;
+    }
     min_due = std::min(min_due, entry.due);
   }
   // All-infinite: the timeline is idle until an external event (e.g. a
   // new submission from an unregistered thread) creates a finite due.
   if (min_due == kNeverSeconds || min_due <= now_) return;
   now_ = min_due;
+  // Wake only the participants the advance made runnable. A sleeper is
+  // runnable once its due is reached or its token trips at the new
+  // instant (a deadline before the due). A WaitUntil caller is notified
+  // on its own cv without holding the caller's mutex; should the notify
+  // beat its park, the poll in WaitUntil wakes it, and meanwhile its
+  // reached due keeps the timeline from moving on.
+  for (const BlockedEntry& entry : blocked_dues_) {
+    const bool runnable =
+        now_ >= entry.due ||
+        (entry.token != nullptr && entry.token->CancelledAt(now_));
+    if (runnable) entry.cv->notify_all();
+  }
+  sleepers_.notify_all();  // observers
+}
+
+void VirtualClock::NotifySleepersLocked() {
+  for (const BlockedEntry& entry : blocked_dues_) {
+    if (entry.sleeper) entry.cv->notify_all();
+  }
   sleepers_.notify_all();
 }
 
@@ -141,7 +168,8 @@ void VirtualClock::WaitUntil(std::unique_lock<std::mutex>& lock,
     std::lock_guard<std::mutex> clk(mu_);
     if (now_ >= due) return;  // already due; caller re-checks state
     ticket = next_ticket_++;
-    blocked_dues_.push_back({due, &cv, EpochOfLocked(&cv), ticket});
+    blocked_dues_.push_back(
+        {due, &cv, nullptr, /*sleeper=*/false, EpochOfLocked(&cv), ticket});
     MaybeAdvanceLocked();
     if (now_ >= due) {
       // Our own due was the advance target; unblock immediately.
@@ -149,9 +177,9 @@ void VirtualClock::WaitUntil(std::unique_lock<std::mutex>& lock,
       return;
     }
   }
-  // Blocked on the caller's cv, which state changes notify; the short
-  // timeout doubles as the wake-up path after a virtual advance (the
-  // clock cannot notify a foreign cv).
+  // Blocked on the caller's cv, which state changes notify and which an
+  // advance reaching `due` notifies too. The short timeout is only the
+  // backstop for an advance whose notify fired before this wait began.
   cv.wait_for(lock, kVirtualPoll);
   {
     std::lock_guard<std::mutex> clk(mu_);
@@ -168,8 +196,12 @@ void VirtualClock::SleepUntil(double due, const CancelToken* token) {
     return;
   }
   if (now_ >= due || (token != nullptr && token->CancelledAt(now_))) return;
+  // Declared after `clk`, so it is destroyed while mu_ is still held:
+  // every notify of it happens under mu_ and after the erase below.
+  std::condition_variable wake;
   const uint64_t ticket = next_ticket_++;
-  blocked_dues_.push_back({due, nullptr, sleeper_epoch_, ticket});
+  blocked_dues_.push_back(
+      {due, &wake, token, /*sleeper=*/true, sleeper_epoch_, ticket});
   MaybeAdvanceLocked();
   while (now_ < due && !(token != nullptr && token->CancelledAt(now_))) {
     // Interrupt examined, still sleeping: refresh the entry so the
@@ -192,7 +224,7 @@ void VirtualClock::SleepUntil(double due, const CancelToken* token) {
     if (now_ >= due || (token != nullptr && token->CancelledAt(now_))) {
       break;
     }
-    sleepers_.wait(clk);
+    wake.wait(clk);
   }
   EraseEntryLocked(ticket);
 }
@@ -202,14 +234,14 @@ void VirtualClock::InterruptSleepers() {
   // Every sleeper must re-examine its cancel token before the timeline
   // may move: the tripped one will return at the CURRENT time.
   ++sleeper_epoch_;
-  sleepers_.notify_all();
+  NotifySleepersLocked();
 }
 
 void VirtualClock::AdvanceTo(double t) {
   std::lock_guard<std::mutex> lock(mu_);
   WEBTX_CHECK_GE(t, now_);
   now_ = t;
-  sleepers_.notify_all();
+  NotifySleepersLocked();
 }
 
 }  // namespace webtx::rt

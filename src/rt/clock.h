@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace webtx::rt {
@@ -26,6 +27,17 @@ inline constexpr double kNeverSeconds =
 /// and return early; the executor never interrupts a task forcibly.
 class CancelToken {
  public:
+  CancelToken() = default;
+
+  /// Trips once `*flag` (may be null) is set or once `clock` reads
+  /// `deadline_seconds` or later (kNeverSeconds: no deadline).
+  CancelToken(std::shared_ptr<std::atomic<bool>> flag, const Clock* clock,
+              double deadline_seconds)
+      : flag_(std::move(flag)),
+        clock_(clock),
+        has_deadline_(deadline_seconds < kNeverSeconds),
+        deadline_seconds_(deadline_seconds) {}
+
   bool cancelled() const;
 
   /// Same answer evaluated against an externally supplied clock reading
@@ -39,7 +51,6 @@ class CancelToken {
   }
 
  private:
-  friend class Executor;
   std::shared_ptr<std::atomic<bool>> flag_;
   const Clock* clock_ = nullptr;  // deadline time base (null: flag only)
   bool has_deadline_ = false;
@@ -99,6 +110,10 @@ class Clock {
   /// would keep counting the woken thread as blocked while it waits to
   /// reacquire the caller's mutex — and advance the timeline past a
   /// moment where that thread had work to do at the current time.
+  /// The flip side: every woken waiter holds the virtual timeline until
+  /// it has re-parked, so notify only the cv whose waiters the change
+  /// concerns — a thread that shares a cv with unrelated state changes
+  /// stalls the timeline at each of them.
   virtual void NotifyAll(std::condition_variable& cv) { cv.notify_all(); }
 
  protected:
@@ -137,11 +152,19 @@ class RealClock final : public Clock {
 /// Mechanics: WaitUntil/SleepUntil from a registered thread record the
 /// caller's due time; when the number of blocked registered threads
 /// reaches the number registered, now() advances to the minimum finite
-/// due and sleepers are notified. WaitUntil callers (who block on a
-/// foreign condition variable the clock cannot notify) use a short
-/// real-time poll as a wake-up backstop — the poll affects only
-/// wall-clock latency, never the virtual timeline, because advance
-/// decisions depend solely on the recorded participant state.
+/// due and wakes exactly the participants the advance made runnable:
+/// each SleepUntil caller whose due was reached or whose cancel token
+/// trips at the new instant (every sleeper waits on a condition variable
+/// of its own), and each WaitUntil caller whose due was reached (through
+/// the caller's own condition variable). Nobody else is woken.
+///
+/// The WaitUntil notify is issued without the caller's mutex, so it can
+/// land between the caller recording its due and parking on its cv; a
+/// short real-time poll is the backstop for that race. The poll affects
+/// only wall-clock latency, never the virtual timeline: a recorded entry
+/// whose due has been reached blocks every further advance until its
+/// owner resumes, and advance decisions depend solely on the recorded
+/// participant state.
 class VirtualClock final : public Clock {
  public:
   VirtualClock() = default;
@@ -167,22 +190,31 @@ class VirtualClock final : public Clock {
   /// and is merely waiting to reacquire the caller's mutex, so it is
   /// runnable at the CURRENT time and must gate any further advance
   /// until it resumes and re-parks (or leaves).
-  /// SleepUntil entries (cv == nullptr) use the sleeper epoch instead:
-  /// InterruptSleepers bumps it, and a sleeper refreshes its entry (under
-  /// the clock lock, in its wait loop) once it has re-checked its cancel
-  /// token. A stale sleeper entry therefore means "interrupt delivered
-  /// but not yet examined" — the sleeper may be about to return at the
-  /// current time, so the timeline must hold still.
+  /// SleepUntil entries use the sleeper epoch instead: InterruptSleepers
+  /// bumps it, and a sleeper refreshes its entry (under the clock lock,
+  /// in its wait loop) once it has re-checked its cancel token. A stale
+  /// sleeper entry therefore means "interrupt delivered but not yet
+  /// examined" — the sleeper may be about to return at the current
+  /// time, so the timeline must hold still.
   struct BlockedEntry {
     double due;
-    const std::condition_variable* cv;  // nullptr: SleepUntil entry
+    /// WaitUntil: the caller's cv. SleepUntil: the sleeper's own wake
+    /// cv, waited on with mu_.
+    std::condition_variable* cv;
+    const CancelToken* token;  // SleepUntil only (may be null)
+    bool sleeper;
     uint64_t epoch;
     uint64_t ticket;  // identity for exact erase
   };
 
   /// Advances to the earliest blocked due once everyone is blocked and
-  /// no waiter is stale. Requires mu_.
+  /// no waiter is stale, then wakes the participants the advance made
+  /// runnable. Requires mu_.
   void MaybeAdvanceLocked();
+
+  /// Wakes every SleepUntil caller, registered or observer, so each
+  /// re-checks its due and token. Requires mu_.
+  void NotifySleepersLocked();
 
   /// Current wake epoch of `cv` (0 if never notified). Requires mu_.
   uint64_t EpochOfLocked(const std::condition_variable* cv) const;
@@ -190,6 +222,8 @@ class VirtualClock final : public Clock {
   void EraseEntryLocked(uint64_t ticket);
 
   mutable std::mutex mu_;
+  /// Polled by observer (unregistered) SleepUntil callers; registered
+  /// sleepers wait on their entry's own cv.
   std::condition_variable sleepers_;
   double now_ = 0.0;
   size_t participants_ = 0;

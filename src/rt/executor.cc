@@ -160,6 +160,8 @@ Result<TxnId> Executor::Submit(TaskSpec task) {
   // up/down state (which admission reads through num_servers_up) is
   // current as of `now`.
   PumpTimedEventsLocked(now);
+  // The pump chases fault timers only while work is unfinished.
+  const bool was_idle = finished_ == specs_.size();
 
   TransactionSpec spec;
   spec.id = id;
@@ -196,9 +198,12 @@ Result<TxnId> Executor::Submit(TaskSpec task) {
   progress_done_.push_back(0.0);
   migration_credits_.push_back(0);
   announced_.push_back(0);
+  unfinished_.push_back(id);
+  snapshot_mark_of_.push_back(0);
   TaskOutcome outcome;
   outcome.submit_seconds = now;
   outcomes_.push_back(outcome);
+  if (was_idle) clock_->NotifyAll(pump_wake_);
 
   ++stats_.submitted;
   const double depth = static_cast<double>(ready_list_.size()) /
@@ -302,6 +307,13 @@ void Executor::WorkerLoop() {
 }
 
 void Executor::PumpLoop() {
+  // Waits on pump_wake_ alone. Its due below depends only on shutdown,
+  // on whether work is unfinished, on the injector's next event and on
+  // the stall watches; every change to one of these notifies pump_wake_
+  // (Submit from idle, all tasks finished, a watch pushed, a stall end,
+  // repair or failover applied, shutdown). Fault events and watches
+  // only move its due once they are due themselves, and the clock wakes
+  // a WaitUntil caller whose due an advance reaches.
   clock_->RegisterParticipant();
   std::unique_lock<std::mutex> lock(mu_);
   ++registered_threads_;
@@ -325,7 +337,7 @@ void Executor::PumpLoop() {
         due = std::min(due, watch.due_seconds);
       }
     }
-    clock_->WaitUntil(lock, work_available_, due);
+    clock_->WaitUntil(lock, pump_wake_, due);
   }
   lock.unlock();
   clock_->DeregisterParticipant();
@@ -383,10 +395,36 @@ void Executor::SnapshotAtQuiescence(ExecutorSnapshot* out) {
   snap.num_workers = options_.num_workers;
   snap.num_workers_up = view_.num_servers_up();
   snap.stats = stats_;
-  for (TxnId id = 0; id < static_cast<TxnId>(specs_.size()); ++id) {
-    if (outcomes_[id].finished) continue;
+  // Mark the tasks held by a container, in precedence order (in flight,
+  // ready, deferred, delayed); the first entry found for a task wins.
+  // Unmarked unfinished tasks wait on dependencies.
+  snapshot_marks_.clear();
+  const auto mark = [this](TxnId id, SnapshotTaskState state, double value) {
+    if (snapshot_mark_of_[id] != 0) return;
+    snapshot_marks_.push_back(SnapshotMark{id, state, value});
+    snapshot_mark_of_[id] = static_cast<uint32_t>(snapshot_marks_.size());
+  };
+  for (const Attempt& attempt : inflight_) {
+    if (attempt.zombie) continue;
+    const bool residual =
+        attempt.simulated && attempt.wake_due < kNeverSeconds;
+    mark(attempt.id, SnapshotTaskState::kInFlight,
+         residual ? std::max(0.0, attempt.wake_due - now)
+                  : remaining_[attempt.id]);
+  }
+  for (const TxnId id : ready_list_) {
+    mark(id, SnapshotTaskState::kReady, now);
+  }
+  for (const DelayedEntry& entry : deferred_) {
+    mark(entry.id, SnapshotTaskState::kDeferred, entry.due_seconds);
+  }
+  for (const DelayedEntry& entry : delayed_) {
+    mark(entry.id, SnapshotTaskState::kDelayed, entry.due_seconds);
+  }
+  for (const TxnId id : UnfinishedIdsLocked()) {
     SnapshotTask task;
     task.id = id;
+    task.state = SnapshotTaskState::kWaitingDeps;
     task.remaining = remaining_[id];
     task.release = now;
     task.deadline = specs_[id].deadline;
@@ -396,39 +434,28 @@ void Executor::SnapshotAtQuiescence(ExecutorSnapshot* out) {
         task.unfinished_dependencies.push_back(dep);
       }
     }
-    task.state = SnapshotTaskState::kWaitingDeps;
-    for (const Attempt& attempt : inflight_) {
-      if (!attempt.zombie && attempt.id == id) {
-        task.state = SnapshotTaskState::kInFlight;
-        if (attempt.simulated && attempt.wake_due < kNeverSeconds) {
-          task.remaining = std::max(0.0, attempt.wake_due - now);
-        }
-        break;
-      }
-    }
-    if (task.state == SnapshotTaskState::kWaitingDeps) {
-      if (std::find(ready_list_.begin(), ready_list_.end(), id) !=
-          ready_list_.end()) {
-        task.state = SnapshotTaskState::kReady;
+    if (const uint32_t index = snapshot_mark_of_[id]; index != 0) {
+      const SnapshotMark& found = snapshot_marks_[index - 1];
+      task.state = found.state;
+      if (found.state == SnapshotTaskState::kInFlight) {
+        task.remaining = found.value;
       } else {
-        for (const DelayedEntry& entry : delayed_) {
-          if (entry.id == id) {
-            task.state = SnapshotTaskState::kDelayed;
-            task.release = entry.due_seconds;
-            break;
-          }
-        }
-        for (const DelayedEntry& entry : deferred_) {
-          if (entry.id == id) {
-            task.state = SnapshotTaskState::kDeferred;
-            task.release = entry.due_seconds;
-            break;
-          }
-        }
+        task.release = found.value;
       }
     }
     snap.tasks.push_back(std::move(task));
   }
+  for (const SnapshotMark& found : snapshot_marks_) {
+    snapshot_mark_of_[found.id] = 0;
+  }
+}
+
+const std::vector<TxnId>& Executor::UnfinishedIdsLocked() {
+  unfinished_.erase(
+      std::remove_if(unfinished_.begin(), unfinished_.end(),
+                     [this](TxnId id) { return outcomes_[id].finished; }),
+      unfinished_.end());
+  return unfinished_;
 }
 
 void Executor::Reconfigure(ReconfigureRequest request) {
@@ -445,10 +472,8 @@ void Executor::Reconfigure(ReconfigureRequest request) {
     // ready set re-enters in queue order. In-flight work is untouched:
     // dispatched tasks were already dequeued and their attempts keep
     // running to completion on their slots.
-    for (TxnId id = 0; id < static_cast<TxnId>(specs_.size()); ++id) {
-      if (announced_[id] && !outcomes_[id].finished) {
-        policy_->OnArrival(id, now);
-      }
+    for (const TxnId id : UnfinishedIdsLocked()) {
+      if (announced_[id]) policy_->OnArrival(id, now);
     }
     for (const TxnId id : ready_list_) {
       policy_->OnReady(id, now);
@@ -533,13 +558,8 @@ void Executor::DispatchOneLocked(std::unique_lock<std::mutex>& lock) {
   const std::function<void()> fn = functions_[id];
   const std::function<void(const CancelToken&)> cancellable =
       cancellable_fns_[id];
-  CancelToken token;
-  token.flag_ = attempt.cancel;
-  token.clock_ = clock_.get();
-  if (timeout > 0.0) {
-    token.has_deadline_ = true;
-    token.deadline_seconds_ = now + timeout;
-  }
+  const CancelToken token(attempt.cancel, clock_.get(),
+                          timeout > 0.0 ? now + timeout : kNeverSeconds);
   inflight_.push_back(std::move(attempt));
 
   lock.unlock();
@@ -754,6 +774,7 @@ void Executor::ApplyFaultEventLocked(const FaultInjector::Event& event) {
             stall_watches_.push_back(StallWatch{
                 event.time + options_.watchdog_stall_seconds, event.slot,
                 attempt.serial});
+            clock_->NotifyAll(pump_wake_);
           }
         }
       }
@@ -771,6 +792,7 @@ void Executor::ApplyFaultEventLocked(const FaultInjector::Event& event) {
         }
       }
       clock_->NotifyAll(work_available_);
+      clock_->NotifyAll(pump_wake_);
       break;
     }
     case FaultInjector::Event::Kind::kCrash: {
@@ -798,6 +820,7 @@ void Executor::ApplyFaultEventLocked(const FaultInjector::Event& event) {
       RecordLocked(event.time, LiveEventKind::kSlotUp, kInvalidTxn,
                    event.slot, 0, 1);
       clock_->NotifyAll(work_available_);
+      clock_->NotifyAll(pump_wake_);
       break;
     }
     case FaultInjector::Event::Kind::kAbort: {
@@ -865,6 +888,7 @@ void Executor::FailOverAttemptLocked(Attempt& attempt, double now,
   policy_->OnMigrated(id, now);
   clock_->InterruptSleepers();
   clock_->NotifyAll(work_available_);
+  clock_->NotifyAll(pump_wake_);
 }
 
 void Executor::ReleaseDueRetries(double now) {
@@ -965,6 +989,7 @@ void Executor::MarkTerminal(TxnId id, TaskResult result, double now) {
   if (finished_ == specs_.size()) {
     clock_->NotifyAll(all_done_);
     clock_->NotifyAll(work_available_);
+    clock_->NotifyAll(pump_wake_);
   }
 }
 
@@ -1017,8 +1042,10 @@ void Executor::Drain() {
 
 void Executor::JoinWorkers() {
   clock_->NotifyAll(work_available_);
+  clock_->NotifyAll(pump_wake_);
   Drain();
   clock_->NotifyAll(work_available_);
+  clock_->NotifyAll(pump_wake_);
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -1032,6 +1059,7 @@ void Executor::Shutdown() {
     if (shutting_down_ && workers_.empty()) return;
     shutting_down_ = true;
     clock_->NotifyAll(work_available_);
+    clock_->NotifyAll(pump_wake_);
   }
   JoinWorkers();
 }
@@ -1063,8 +1091,7 @@ void Executor::ShutdownNow() {
     }
     deferred_.clear();
     stall_watches_.clear();
-    for (TxnId id = 0; id < static_cast<TxnId>(specs_.size()); ++id) {
-      if (outcomes_[id].finished) continue;
+    for (const TxnId id : UnfinishedIdsLocked()) {
       bool in_flight = false;
       for (const Attempt& attempt : inflight_) {
         if (attempt.id == id && !attempt.zombie) {
@@ -1082,6 +1109,7 @@ void Executor::ShutdownNow() {
     }
     clock_->InterruptSleepers();
     clock_->NotifyAll(work_available_);
+    clock_->NotifyAll(pump_wake_);
   }
   JoinWorkers();
 }

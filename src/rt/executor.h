@@ -437,6 +437,8 @@ class Executor {
                              double* now_out);
   bool QuiescentLocked(double now) const;
   // The helpers below require mu_ to be held.
+  /// Ascending ids of every unfinished task (compacts unfinished_).
+  const std::vector<TxnId>& UnfinishedIdsLocked();
   bool CanDispatchLocked(double now) const;
   size_t FreeUpSlotLocked() const;
   bool SlotUpLocked(size_t slot) const;
@@ -459,7 +461,13 @@ class Executor {
                     uint32_t attempt = 0, uint64_t aux = 0);
 
   mutable std::mutex mu_;
+  /// Workers wait here; notified on every state change that may enable
+  /// a dispatch.
   std::condition_variable work_available_;
+  /// The fault pump waits here; notified only when an input of its due
+  /// time changes (see PumpLoop), so it does not stall the virtual
+  /// timeline at every submission and completion.
+  std::condition_variable pump_wake_;
   std::condition_variable all_done_;
   /// Signals worker/pump thread clock registration to the constructor
   /// (wall-clock wait; these threads are not timeline participants until
@@ -499,6 +507,20 @@ class Executor {
   /// arrivals only; deferred arrivals announce on admit). Reconfigure
   /// replays exactly these into a replacement policy.
   std::vector<char> announced_;
+  /// Ascending submitted ids, a superset of the unfinished ones:
+  /// finished ids are dropped lazily by UnfinishedIdsLocked.
+  std::vector<TxnId> unfinished_;
+  /// SnapshotAtQuiescence scratch: the state of every task found in
+  /// inflight_, ready_list_, deferred_ or delayed_, and per task 1 + the
+  /// index of its mark (0: unmarked, i.e. waiting on dependencies).
+  /// snapshot_mark_of_ is all zero again after each snapshot.
+  struct SnapshotMark {
+    TxnId id;
+    SnapshotTaskState state;
+    double value;  // in flight: remaining; otherwise: release
+  };
+  std::vector<SnapshotMark> snapshot_marks_;
+  std::vector<uint32_t> snapshot_mark_of_;
   std::vector<TxnId> ready_list_;
   std::vector<DelayedEntry> delayed_;    // retries in backoff
   std::vector<DelayedEntry> deferred_;   // admission-deferred arrivals

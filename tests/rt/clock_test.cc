@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -194,6 +195,74 @@ TEST(VirtualClockTest, NotifiedWaiterResumesAtTheCurrentInstant) {
   clock.DeregisterParticipant();
   waiter.join();
   EXPECT_EQ(waiter_wake.load(), 0.0);
+}
+
+TEST(VirtualClockTest, TokenDeadlineBeforeDueEndsSleepAtFirstAdvancePastIt) {
+  // An advance wakes only the sleepers it made runnable; a sleeper whose
+  // token deadline (3) comes before its due (10) is one of them at the
+  // first advance at or after the deadline (5), and it holds the
+  // timeline there until it has returned.
+  VirtualClock clock;
+  std::atomic<bool> registered{false};
+  std::atomic<double> sleeper_wake{-1.0};
+  clock.RegisterParticipant();
+  std::thread sleeper([&] {
+    clock.RegisterParticipant();
+    registered.store(true);
+    const CancelToken token(nullptr, &clock, 3.0);
+    clock.SleepUntil(10.0, &token);
+    sleeper_wake.store(clock.Now());
+    clock.DeregisterParticipant();
+  });
+  while (!registered.load()) std::this_thread::yield();
+  clock.SleepUntil(2.0, nullptr);  // before the deadline: sleeper stays
+  EXPECT_EQ(clock.Now(), 2.0);
+  clock.SleepUntil(5.0, nullptr);
+  EXPECT_EQ(clock.Now(), 5.0);
+  clock.SleepUntil(7.0, nullptr);
+  EXPECT_EQ(clock.Now(), 7.0);
+  clock.DeregisterParticipant();
+  sleeper.join();
+  EXPECT_EQ(sleeper_wake.load(), 5.0);
+}
+
+TEST(VirtualClockTest, WaitUntilResumesAtTheAdvanceThatReachesItsDue) {
+  // Each advance here is triggered by the other participant's sleep and
+  // lands exactly on the WaitUntil caller's due. The caller must resume
+  // at that instant: its reached due holds the timeline until it has
+  // re-parked, however its wake-up is delivered.
+  constexpr int kRounds = 20;
+  VirtualClock clock;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::atomic<bool> registered{false};
+  std::atomic<int> late_wakes{0};
+  clock.RegisterParticipant();
+  std::thread waiter([&] {
+    clock.RegisterParticipant();
+    registered.store(true);
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      for (int round = 1; round <= kRounds; ++round) {
+        const double due = static_cast<double>(round);
+        while (clock.Now() < due) clock.WaitUntil(lock, cv, due);
+        if (clock.Now() != due) late_wakes.fetch_add(1);
+      }
+    }
+    clock.DeregisterParticipant();
+  });
+  while (!registered.load()) std::this_thread::yield();
+  // Let the waiter park first (wall time only; main is runnable, so the
+  // virtual clock cannot move).
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  for (int round = 1; round <= kRounds; ++round) {
+    const double due = static_cast<double>(round) + 0.5;
+    clock.SleepUntil(due, nullptr);
+    EXPECT_EQ(clock.Now(), due);
+  }
+  clock.DeregisterParticipant();
+  waiter.join();
+  EXPECT_EQ(late_wakes.load(), 0);
 }
 
 TEST(VirtualClockTest, InterruptSleepersIsTransparentWithoutTokens) {

@@ -134,6 +134,55 @@ TEST(ExecutorResilienceTest, FaultSeasonedTimelineIsDigestStable) {
   EXPECT_NE(first, 0u);
 }
 
+TEST(ExecutorResilienceTest, ResubmissionAfterAnIdleFaultWindowKeepsItsDigest) {
+  // The fault pump stops chasing fault timers once every task is
+  // finished, and only a submission that makes the executor busy again
+  // wakes it. Here the run drains to idle, the driver sleeps across
+  // abort instants that find no attempt to hit, and a second wave of
+  // long tasks arrives at one instant. The aborts during those tasks
+  // must land at their own instants rather than be swept past by the
+  // advance to the tasks' ends. Aborts are the only fault kind, so no
+  // stall end or repair caught up at the submission wakes the pump in
+  // its place. The pinned digest is this scenario's trace as the
+  // executor produced it before the pump got its own wake-up.
+  ExecutorOptions options;
+  options.num_workers = 2;
+  auto clock = std::make_shared<VirtualClock>();
+  options.clock = clock;
+  options.faults.plan.abort_rate = 0.8;
+  options.faults.plan.seed = 31;
+  options.faults.latency_spike_prob = 0.3;
+  options.faults.mean_latency_spike = 0.05;
+  options.record_trace = true;
+  auto exec = MakeExecutor(options);
+
+  std::vector<LiveTaskRecord> tasks;
+  const auto submit = [&](double work) {
+    TaskSpec spec;
+    spec.simulated_duration = work;
+    spec.estimated_cost = work;
+    spec.relative_deadline = 0.5;
+    spec.max_attempts = 3;
+    spec.retry_backoff_seconds = 0.02;
+    SubmitTracked(*exec, tasks, spec);
+  };
+  clock->RegisterParticipant();
+  for (size_t i = 0; i < 12; ++i) {
+    clock->SleepUntil(0.03 * static_cast<double>(i + 1), nullptr);
+    submit(0.04 + 0.01 * static_cast<double>(i % 3));
+  }
+  exec->Drain();
+  clock->SleepUntil(clock->Now() + 3.0, nullptr);  // idle across windows
+  submit(1.5);
+  submit(1.5);
+  const RunRecord run = FinishRun(*exec, std::move(tasks));
+  clock->DeregisterParticipant();
+  ExpectValid(run, options);
+  ExpectPartition(run);
+  EXPECT_GT(run.stats.forced_aborts, 0u);
+  EXPECT_EQ(LiveTraceDigest(run.trace), 0x139defbf8b1873c9ull);
+}
+
 /// Shared scenario of the warm/cold comparison: one long simulated task
 /// exposed to a crash-heavy timeline on two slots.
 RunRecord FailoverRun(MigrationPolicy migration, double* finish_seconds) {
